@@ -279,11 +279,6 @@ def truncated_inverse(
     return PolynomialMatrix(q)
 
 
-def tail_norm(a: PolynomialMatrix) -> float:
-    """Frobenius norm of the highest-lag coefficient."""
-    return float(np.linalg.norm(a.coeffs[-1]))
-
-
 def vstack(top: PolynomialMatrix, bottom: PolynomialMatrix) -> PolynomialMatrix:
     """Stack two filters with a shared input on top of each other."""
     if top.cols != bottom.cols:

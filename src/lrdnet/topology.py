@@ -18,7 +18,7 @@ from scipy import stats
 
 from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData
 from .model import DirectedGraph, LrdnModel, reduced_form
-from .polymat import DEFAULT_HORIZON, DEFAULT_ZERO_TOL, truncated_inverse
+from .polymat import DEFAULT_COND_BOUND, DEFAULT_HORIZON, DEFAULT_ZERO_TOL, truncated_inverse
 from .sim import TimeSeries
 from .wiener import L_BLOCK, M_BLOCK, ExactFilters, FilterEstimate, exact_filters
 
@@ -48,6 +48,81 @@ class EdgeTestResult:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
+def _group_tests(
+    est: FilterEstimate,
+    rows: np.ndarray,
+    chans: np.ndarray,
+    alpha: float,
+    norm_threshold: float,
+    resid_tol: float,
+):
+    """Group tests for the pairs (rows[k], chans[k]) of one estimate (0-based
+    row and source channel), as batched array operations per group size.
+
+    Returns the EdgeTestResult fields as arrays, in field order, and the
+    first pair (in the given order) that cannot be tested as
+    (source, target, exception), or None.
+    """
+    T_eff = est.num_used_samples
+    offset = est.m if est.target_block == L_BLOCK else 0
+    sources = est.m + chans + 1
+    targets = offset + rows + 1
+    k_row = est.n_regressors[rows]
+    dof = T_eff - k_row
+    rss = est.rss_full[rows]
+    insufficient = dof < 1
+    noiseless = ~insufficient & (est.target_block == M_BLOCK) & (np.sqrt(rss / T_eff) <= resid_tol)
+    tested = ~insufficient & ~noiseless
+    first = (rows == chans) & (est.target_block == L_BLOCK)  # own group starts at lag 1
+
+    n = rows.size
+    coeff_norm = np.empty(n)
+    group_size = np.empty(n, dtype=int)
+    cond = np.zeros(n)
+    degenerate = np.zeros(n, dtype=bool)
+    rss_increase = np.zeros(n)
+    for lag0 in (0, 1):
+        sel = np.flatnonzero(first == lag0)
+        if sel.size == 0:
+            continue
+        beta = est.coeffs.coeffs[lag0:, rows[sel], chans[sel]].T
+        coeff_norm[sel] = np.linalg.norm(beta, axis=1)
+        group_size[sel] = beta.shape[1]
+        pick = tested[sel]
+        sel, beta = sel[pick], beta[pick]
+        blocks = est.gram_blocks[rows[sel], chans[sel], lag0:, lag0:]
+        cond[sel] = np.linalg.cond(blocks)
+        ok = np.isfinite(cond[sel]) & (cond[sel] <= DEFAULT_COND_BOUND)
+        degenerate[sel] = ~ok
+        solved = np.linalg.solve(blocks[ok], beta[ok, :, np.newaxis])[..., 0]
+        rss_increase[sel[ok]] = np.einsum("kg,kg->k", beta[ok], solved)
+
+    good = tested & ~degenerate
+    statistic = np.zeros(n)
+    p_value = np.ones(n)
+    statistic[good] = (rss_increase[good] / group_size[good]) / (rss[good] / dof[good])
+    p_value[good] = stats.f.sf(statistic[good], group_size[good], dof[good])
+    # on a noiseless deterministic row the F law is meaningless: decide by
+    # the group coefficient norm and report the degenerate (inf, 0) or (0, 1)
+    decision = np.where(noiseless, coeff_norm > norm_threshold, p_value < alpha)
+    statistic[noiseless & decision] = np.inf
+    p_value[noiseless & decision] = 0.0
+
+    failure = None
+    bad = np.flatnonzero(insufficient | degenerate)
+    if bad.size:
+        k = bad[0]
+        if insufficient[k]:
+            exc = InsufficientData(f"no residual degrees of freedom (T'={T_eff}, k={k_row[k]})")
+        else:
+            exc = DegenerateRestriction(
+                f"group ({targets[k]}, {sources[k]}) Gram-inverse block is singular "
+                f"(cond {cond[k]:.3e})"
+            )
+        failure = (sources[k], targets[k], exc)
+    return (sources, targets, statistic, p_value, coeff_norm, decision), failure
+
+
 def edge_test(
     est: FilterEstimate,
     target: int,
@@ -65,7 +140,8 @@ def edge_test(
     deterministic relation the residual scale is ~0 and the F law is
     meaningless, so the decision falls back to thresholding the group
     coefficient norm; the reported (statistic, p_value) are then the
-    degenerate (inf, 0) or (0, 1) consistent with the decision.
+    degenerate (inf, 0) or (0, 1) consistent with the decision. This is a
+    one-pair call into the batched kernel behind :func:`edge_test_table`.
     """
     m, l = est.m, est.l
     if not m + 1 <= source <= m + l:
@@ -78,46 +154,12 @@ def edge_test(
         if not m + 1 <= target <= m + l:
             raise ValueError(f"target {target} outside the full-rank block")
         row = target - m - 1
-    chan = source - m - 1
-
-    beta_g = est.group_coefficients(row, chan)
-    coeff_norm = float(np.linalg.norm(beta_g))
-    T_eff = est.num_used_samples
-    k_row = int(est.n_regressors[row])
-    dof = T_eff - k_row
-    if dof < 1:
-        raise InsufficientData(f"no residual degrees of freedom (T'={T_eff}, k={k_row})")
-
-    rss = float(est.rss_full[row])
-    if est.target_block == M_BLOCK and np.sqrt(rss / T_eff) <= resid_tol:
-        decision = coeff_norm > norm_threshold
-        return EdgeTestResult(
-            source=source,
-            target=target,
-            statistic=np.inf if decision else 0.0,
-            p_value=0.0 if decision else 1.0,
-            coeff_norm=coeff_norm,
-            decision=decision,
-        )
-
-    block = est.gram_inv_blocks[(row, chan)]
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateRestriction(
-            f"group ({target}, {source}) Gram-inverse block is singular (cond {cond:.3e})"
-        )
-    rss_increase = float(beta_g @ np.linalg.solve(block, beta_g))
-    g = beta_g.size
-    fstat = (rss_increase / g) / (rss / dof)
-    p_value = float(stats.f.sf(fstat, g, dof))
-    return EdgeTestResult(
-        source=source,
-        target=target,
-        statistic=float(fstat),
-        p_value=p_value,
-        coeff_norm=coeff_norm,
-        decision=bool(p_value < alpha),
+    columns, failure = _group_tests(
+        est, np.array([row]), np.array([source - m - 1]), alpha, norm_threshold, resid_tol
     )
+    if failure is not None:
+        raise failure[-1]
+    return EdgeTestResult(*(c.item() for c in columns))
 
 
 def edge_test_table(
@@ -129,8 +171,11 @@ def edge_test_table(
     resid_tol: float = DETERMINISTIC_RESID_TOL,
 ) -> list[EdgeTestResult]:
     """Run the edge test over every (target, source) pair with a full-rank
-    source. Bonferroni divides alpha by the total number of tests. h_est may
-    be None when the data has no deterministic block."""
+    source, ordered by (source, target). Bonferroni divides alpha by the
+    total number of tests. h_est may be None when the data has no
+    deterministic block. Each estimate's pairs are tested in one batch; a
+    pair that cannot be tested raises for the first such pair in that order.
+    """
     if s_est.target_block != L_BLOCK:
         raise ValueError("s_est must be the full-rank-block estimate")
     if h_est is None:
@@ -147,14 +192,20 @@ def edge_test_table(
     n_tests = (m + l) * l
     alpha_eff = alpha / n_tests if correction == BONFERRONI else alpha
 
-    results = []
-    for source in range(m + 1, m + l + 1):
-        for target in range(1, m + l + 1):
-            est = h_est if target <= m else s_est
-            results.append(
-                edge_test(est, target, source, alpha_eff, norm_threshold, resid_tol)
-            )
-    return results
+    batches, failures = [], []
+    for est in (h_est, s_est):
+        if est is None:
+            continue
+        chans, rows = np.divmod(np.arange(est.num_rows * l), est.num_rows)
+        columns, failure = _group_tests(est, rows, chans, alpha_eff, norm_threshold, resid_tol)
+        batches.append(columns)
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[-1]
+    columns = [np.concatenate(c) for c in zip(*batches)]
+    order = np.lexsort((columns[1], columns[0]))
+    return [EdgeTestResult(*row) for row in zip(*(c[order].tolist() for c in columns))]
 
 
 def decide_graph(

@@ -9,6 +9,7 @@ zero diagonal at lag 0 by construction of the regression design.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,14 @@ def exact_s_via_factor(
 class FilterEstimate:
     """Least-squares FIR filter fit for one block.
 
-    ``regressor_groups`` maps (row, source channel) to the column index set
-    of that source's lags inside the row's design matrix (0-based channels).
-    ``gram_inv_blocks`` holds the matching diagonal blocks of (X'X)^-1, which
-    is all the group tests need.
+    ``gram_blocks[row, source]`` is the (order+1) x (order+1) diagonal block
+    of the row's Gram inverse (X'X + ridge I)^-1 that belongs to the source
+    channel's lags 0..order, which is all the group tests need. In the
+    full-rank block a row's own lag 0 is not a regressor: its group is lags
+    1..order, the block's trailing order x order corner. All blocks come from
+    one factorization of the shared lagged design (see :func:`estimate_s`),
+    and :func:`lrdnet.topology.edge_test_table` tests every group at once as
+    batched array operations.
     """
 
     target_block: str
@@ -109,8 +114,7 @@ class FilterEstimate:
     coeffs: PolynomialMatrix
     residuals: np.ndarray
     rss_full: np.ndarray
-    regressor_groups: dict
-    gram_inv_blocks: dict
+    gram_blocks: np.ndarray
     n_regressors: np.ndarray
 
     @property
@@ -120,6 +124,17 @@ class FilterEstimate:
     @property
     def num_used_samples(self) -> int:
         return self.residuals.shape[0]
+
+    @property
+    def regressor_groups(self) -> dict:
+        """(row, source) -> column indices of the source's lags inside the
+        row's design matrix (0-based channels)."""
+        return {pair: self.group_columns(*pair) for pair in _pairs(self.num_rows, self.l)}
+
+    @property
+    def gram_inv_blocks(self) -> "_GramBlocks":
+        """(row, source) -> that group's Gram-inverse block, a writable view."""
+        return _GramBlocks(self)
 
     def residual_variances(self) -> np.ndarray:
         dof = self.num_used_samples - self.n_regressors
@@ -131,10 +146,19 @@ class FilterEstimate:
         return self.coeffs.coeffs[lags, row, source]
 
     def group_lags(self, row: int, source: int) -> np.ndarray:
-        if (row, source) not in self.regressor_groups:
+        return np.arange(self.first_lag(row, source), self.order + 1)
+
+    def first_lag(self, row: int, source: int) -> int:
+        """1 for a full-rank row's own group (no lag-0 regressor), else 0."""
+        if not (0 <= row < self.num_rows and 0 <= source < self.l):
             raise KeyError(f"no regressor group for row {row}, source {source}")
-        first = 1 if (self.target_block == L_BLOCK and row == source) else 0
-        return np.arange(first, self.order + 1)
+        return int(self.target_block == L_BLOCK and row == source)
+
+    def group_columns(self, row: int, source: int) -> np.ndarray:
+        cols = source * (self.order + 1) + self.group_lags(row, source)
+        if self.target_block == L_BLOCK:
+            cols = cols - (cols > row * (self.order + 1))  # own lag-0 column is dropped
+        return cols
 
     def to_dict(self) -> dict:
         return {
@@ -146,6 +170,31 @@ class FilterEstimate:
             "per_row_rss": self.rss_full.tolist(),
             "residual_variances": self.residual_variances().tolist(),
         }
+
+
+def _pairs(rows: int, l: int):
+    return ((row, source) for row in range(rows) for source in range(l))
+
+
+class _GramBlocks(Mapping):
+    """(row, source) -> Gram-inverse block of that regressor group, as a view
+    into ``FilterEstimate.gram_blocks``; assigning to a key writes through."""
+
+    def __init__(self, est: FilterEstimate):
+        self._est = est
+
+    def __getitem__(self, key):
+        first = self._est.first_lag(*key)
+        return self._est.gram_blocks[key][first:, first:]
+
+    def __setitem__(self, key, block) -> None:
+        self[key][...] = block
+
+    def __iter__(self):
+        return _pairs(self._est.num_rows, self._est.l)
+
+    def __len__(self) -> int:
+        return self._est.num_rows * self._est.l
 
 
 def _lagged_design(y_l: np.ndarray, order: int) -> np.ndarray:
@@ -160,15 +209,15 @@ def _lagged_design(y_l: np.ndarray, order: int) -> np.ndarray:
     return X
 
 
-def _solve_ls(X: np.ndarray, Y: np.ndarray, ridge: float, cond_bound: float):
-    """Backward-stable least squares via SVD; returns (beta, gram_inverse).
+def _factor(X: np.ndarray, ridge: float, cond_bound: float):
+    """Thin SVD of the design, X = U diag(s) V'; returns (u, s, vt, s**2 + ridge).
 
     With ridge = 0 a Gram condition number above the bound raises
     RankDeficientDesign; with ridge > 0 the regularized problem is solved.
     """
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
     if ridge == 0.0:
         smin = s[-1]
         if smin == 0.0 or (s[0] / smin) ** 2 > cond_bound:
@@ -177,13 +226,14 @@ def _solve_ls(X: np.ndarray, Y: np.ndarray, ridge: float, cond_bound: float):
                 f"Gram condition number {gram_cond:.3e} exceeds {cond_bound:.1e}; "
                 "pass a positive ridge or drop collinear channels"
             )
-    denom = s**2 + ridge
-    y2 = Y if Y.ndim == 2 else Y[:, np.newaxis]
-    beta = vt.T @ ((s / denom)[:, np.newaxis] * (u.T @ y2))
-    if Y.ndim == 1:
-        beta = beta[:, 0]
-    gram_inv = (vt.T / denom) @ vt
-    return beta, gram_inv
+    return u, s, vt, s**2 + ridge
+
+
+def _diagonal_blocks(gram_inv: np.ndarray, l: int, order: int) -> np.ndarray:
+    """(l, order+1, order+1) diagonal blocks of a Gram inverse over the lagged design."""
+    g = order + 1
+    chans = np.arange(l)
+    return gram_inv.reshape(l, g, l, g)[chans, :, chans, :]
 
 
 def _check_sample_budget(T: int, order: int, n_cols: int) -> None:
@@ -213,31 +263,20 @@ def estimate_h(
     _check_sample_budget(data.num_samples, p, n_cols)
     X = _lagged_design(data.y_l, p)
     Y = data.y_m[p:]
-    beta, gram_inv = _solve_ls(X, Y, ridge, cond_bound)
+    u, s, vt, denom = _factor(X, ridge, cond_bound)
+    beta = vt.T @ ((s / denom)[:, np.newaxis] * (u.T @ Y))
     resid = Y - X @ beta
-
-    coeffs = np.zeros((p + 1, data.m, l))
-    for j in range(l):
-        for k in range(p + 1):
-            coeffs[k, :, j] = beta[j * (p + 1) + k]
-
-    groups = {}
-    blocks = {}
-    for i in range(data.m):
-        for j in range(l):
-            idx = np.arange(j * (p + 1), (j + 1) * (p + 1))
-            groups[(i, j)] = idx
-            blocks[(i, j)] = gram_inv[np.ix_(idx, idx)]
+    gram_inv = (vt.T / denom) @ vt
+    blocks = _diagonal_blocks(gram_inv, l, p)
     return FilterEstimate(
         target_block=M_BLOCK,
         order=p,
         m=data.m,
         l=l,
-        coeffs=PolynomialMatrix(coeffs),
+        coeffs=PolynomialMatrix(beta.T.reshape(data.m, l, p + 1).transpose(2, 0, 1)),
         residuals=resid,
         rss_full=np.sum(resid**2, axis=0),
-        regressor_groups=groups,
-        gram_inv_blocks=blocks,
+        gram_blocks=np.repeat(blocks[np.newaxis], data.m, axis=0),
         n_regressors=np.full(data.m, n_cols),
     )
 
@@ -254,51 +293,46 @@ def estimate_s(
     channel's lags 0..order; excluding the own lag-0 column makes the zero
     diagonal at infinity structural rather than statistical. Row i's residual
     estimates d_i e_i(t).
+
+    Row i's target is column c = i*(order+1) of the shared design X, so all
+    rows are read off one precision matrix P = (X'X + ridge I)^-1 built from
+    a single SVD of X (the covariance-selection identity, Dempster 1972):
+    row i's coefficients are -P[c, :] / P[c, c] and its restricted Gram
+    inverse is the rank-one downdate P - P[:, c] P[c, :] / P[c, c]. Both
+    hold for ridge > 0 too (X augmented with sqrt(ridge) I), but 1 / P[c, c]
+    is the RSS only at ridge = 0, so residuals and RSS come from Y - X B'.
+    The condition-number guard applies to the full X, which is at least as
+    strict as guarding each row's design (singular values interlace).
     """
     p = order
     l = data.l
-    n_cols_full = l * (p + 1)
+    g = p + 1
+    n_cols_full = l * g
     _check_sample_budget(data.num_samples, p, n_cols_full - 1)
-    X_full = _lagged_design(data.y_l, p)
+    X = _lagged_design(data.y_l, p)
     Y = data.y_l[p:]
+    _, _, vt, denom = _factor(X, ridge, cond_bound)
+    P = (vt.T / denom) @ vt
 
-    coeffs = np.zeros((p + 1, l, l))
-    residuals = np.empty((data.num_samples - p, l))
-    rss = np.empty(l)
-    groups = {}
-    blocks = {}
+    rows = np.arange(l)
+    own = rows * g  # each row's own lag-0 column
+    p_own = P[own, :]
+    pivot = p_own[rows, own]
+    beta = -p_own / pivot[:, np.newaxis]
+    beta[rows, own] = 0.0
+    residuals = Y - X @ beta.T
 
-    for i in range(l):
-        drop = i * (p + 1)  # own lag-0 column
-        keep = np.delete(np.arange(n_cols_full), drop)
-        X = X_full[:, keep]
-        beta, gram_inv = _solve_ls(X, Y[:, i], ridge, cond_bound)
-        resid = Y[:, i] - X @ beta
-        residuals[:, i] = resid
-        rss[i] = float(resid @ resid)
-
-        for pos, col in enumerate(keep):
-            j, k = divmod(col, p + 1)
-            coeffs[k, i, j] = beta[pos]
-        for j in range(l):
-            if j == i:
-                idx = np.arange(drop, drop + p)  # own lags 1..p slide into drop's slot
-            else:
-                start = j * (p + 1)
-                idx = np.arange(start, start + p + 1)
-                idx = idx - (idx > drop)  # account for the removed column
-            groups[(i, j)] = idx
-            blocks[(i, j)] = gram_inv[np.ix_(idx, idx)]
-
+    cross = p_own.reshape(l, l, g)  # cross[i, j] = P[c_i, lags of channel j]
+    downdate = np.einsum("ija,ijb->ijab", cross, cross) / pivot.reshape(l, 1, 1, 1)
+    blocks = _diagonal_blocks(P, l, p) - downdate
     return FilterEstimate(
         target_block=L_BLOCK,
         order=p,
         m=data.m,
         l=l,
-        coeffs=PolynomialMatrix(coeffs),
+        coeffs=PolynomialMatrix(beta.reshape(l, l, g).transpose(2, 0, 1)),
         residuals=residuals,
-        rss_full=rss,
-        regressor_groups=groups,
-        gram_inv_blocks=blocks,
+        rss_full=np.sum(residuals**2, axis=0),
+        gram_blocks=blocks,
         n_regressors=np.full(l, n_cols_full - 1),
     )

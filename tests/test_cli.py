@@ -196,6 +196,22 @@ class TestRunExperiment:
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_default_config_result_digests_are_pinned(self, tmp_path):
+        # performance work must leave the scientific output bit for bit
+        # unchanged; a change that moves these digests has to say why
+        import hashlib
+
+        out = tmp_path / "o"
+        assert main(["run-experiment", "--seed", "1", "--out-dir", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("aggregate.json", "trials.csv")
+        }
+        assert digests == {
+            "aggregate.json": "319e89b21fd036d9f55c3dffaf45858f5af5de1829a5b2f983ac9b6ac19d15c7",
+            "trials.csv": "b425d0f6039efdf0626d4bdceb304b243bf9458449e6b3db18bc4de5b6f446b3",
+        }
+
     def test_fixed_model_mode_runs_and_differs_from_fresh(self, tmp_path):
         out_a, out_b = tmp_path / "fixed", tmp_path / "fresh"
         cfg_a = write_config(tmp_path, trials=2, fixed_model=True)

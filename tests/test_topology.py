@@ -7,7 +7,7 @@ from conftest import small_config, twelve_node_config
 from lrdnet.errors import DegenerateRestriction, InsufficientData
 from lrdnet.model import DirectedGraph, LrdnModel, random_model, true_graph
 from lrdnet.polymat import PolynomialMatrix
-from lrdnet.sim import simulate
+from lrdnet.sim import TimeSeries, simulate
 from lrdnet.topology import (
     EdgeTestResult,
     Partition,
@@ -21,7 +21,7 @@ from lrdnet.topology import (
     support_graph,
     write_edge_tests_csv,
 )
-from lrdnet.wiener import estimate_h, estimate_s, exact_filters
+from lrdnet.wiener import M_BLOCK, estimate_h, estimate_s, exact_filters
 from test_sim import white_model
 
 
@@ -148,6 +148,110 @@ class TestEdgeTest:
         assert 0.0 <= r.p_value <= 1.0
         with pytest.raises(ValueError):
             EdgeTestResult(source=3, target=1, statistic=2.0, p_value=1.5, coeff_norm=0.1, decision=True)
+
+
+def reference_edge_test(est, target, source, alpha):
+    """One pair, tested the textbook way: its own condition number, solve
+    and F tail probability."""
+    from scipy import stats as sps
+
+    m = est.m
+    row = target - 1 if est.target_block == M_BLOCK else target - m - 1
+    chan = source - m - 1
+    beta = est.group_coefficients(row, chan)
+    norm = float(np.linalg.norm(beta))
+    dof = est.num_used_samples - int(est.n_regressors[row])
+    rss = float(est.rss_full[row])
+    if est.target_block == M_BLOCK and np.sqrt(rss / est.num_used_samples) <= 1e-6:
+        decision = norm > 1e-6
+        return EdgeTestResult(source, target, np.inf if decision else 0.0,
+                              0.0 if decision else 1.0, norm, decision)
+    block = est.gram_inv_blocks[(row, chan)]
+    cond = np.linalg.cond(block)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise DegenerateRestriction(
+            f"group ({target}, {source}) Gram-inverse block is singular (cond {cond:.3e})"
+        )
+    f = (float(beta @ np.linalg.solve(block, beta)) / beta.size) / (rss / dof)
+    p_value = float(sps.f.sf(f, beta.size, dof))
+    return EdgeTestResult(source, target, f, p_value, norm, p_value < alpha)
+
+
+def reference_table(h_est, s_est, alpha):
+    m, l = s_est.m, s_est.l
+    return [
+        reference_edge_test(h_est if target <= m else s_est, target, source, alpha)
+        for source in range(m + 1, m + l + 1)
+        for target in range(1, m + l + 1)
+    ]
+
+
+class TestBatchedEdgeTable:
+    def test_matches_per_pair_reference(self):
+        cases = [(small_config(seed=seed), 1500, order) for seed in range(4) for order in (2, 3)]
+        cases += [(twelve_node_config(seed=500), 200, 2), (twelve_node_config(seed=501), 2000, 2)]
+        for k, (cfg, T, order) in enumerate(cases):
+            model = random_model(cfg)
+            ts = simulate(model, num_samples=T, seed=700 + k)
+            h_est, s_est = fit_both(ts, order=order)
+            n_tests = (model.m + model.l) * model.l
+            for alpha, correction in ((0.05, "none"), (0.01, "bonferroni")):
+                table = edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
+                a_eff = alpha / n_tests if correction == "bonferroni" else alpha
+                expected = reference_table(h_est, s_est, a_eff)
+                assert [(r.source, r.target) for r in table] == [
+                    (r.source, r.target) for r in expected
+                ]
+                for got, ref in zip(table, expected):
+                    assert got.decision == ref.decision
+                    if np.isinf(ref.statistic):
+                        assert got.statistic == ref.statistic
+                    else:
+                        assert abs(got.statistic - ref.statistic) <= 1e-9 * max(1.0, ref.statistic)
+                    assert abs(got.p_value - ref.p_value) < 1e-10
+                    assert got.coeff_norm == pytest.approx(ref.coeff_norm, rel=1e-12, abs=1e-300)
+
+    def test_noiseless_deterministic_rows_take_the_norm_rule(self):
+        model = random_model(small_config(seed=1))
+        ts = simulate(model, num_samples=2000, seed=31)
+        h_est, s_est = fit_both(ts, order=model.g_ml.degree)
+        table = edge_test_table(h_est, s_est, alpha=0.01)
+        m_rows = [r for r in table if r.target <= model.m]
+        assert len(m_rows) == model.m * model.l
+        for r in m_rows:
+            expected = (np.inf, 0.0) if r.decision else (0.0, 1.0)
+            assert (r.statistic, r.p_value) == expected
+        assert {(r.target, r.source) for r in m_rows if r.decision} == {
+            (i + 1, model.m + j + 1) for i, j in np.argwhere(model.g_ml.support())
+        }
+
+    def test_degenerate_block_raises_for_the_first_pair_in_order(self):
+        model = random_model(small_config(seed=2))
+        ts = simulate(model, num_samples=1000, seed=34)
+        m = model.m
+        # measurement noise on the deterministic channels sends their rows
+        # through the F test, where a degenerate block is caught
+        data = ts.data.copy()
+        data[:, :m] += 0.1 * np.random.default_rng(3).standard_normal((ts.num_samples, m))
+        h_est, s_est = fit_both(TimeSeries(data=data, m=m, l=model.l), order=2)
+
+        def zero(est, key):
+            est.gram_inv_blocks[key] = np.zeros_like(est.gram_inv_blocks[key])
+
+        # the loop over (source, target) meets the full-rank pair (m+1 <- m+2)
+        # before the deterministic-row pair (1 <- m+3) and the own group m+2
+        zero(h_est, (0, 2))
+        zero(s_est, (1, 1))
+        zero(s_est, (0, 1))
+        for first in ((m + 1, m + 2), (2, m + 2)):
+            if first == (2, m + 2):
+                zero(h_est, (1, 1))  # now a deterministic-row pair comes first
+            with pytest.raises(DegenerateRestriction) as expected:
+                reference_table(h_est, s_est, 0.01)
+            with pytest.raises(DegenerateRestriction) as got:
+                edge_test_table(h_est, s_est, alpha=0.01)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith(f"group ({first[0]}, {first[1]})")
 
 
 class TestDecideGraph:

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config
 from lrdnet.errors import InsufficientData, InvalidModel, RankDeficientDesign
 from lrdnet.model import LrdnModel, random_model, reduced_form
-from lrdnet.polymat import PolynomialMatrix
+from lrdnet.polymat import DEFAULT_COND_BOUND, PolynomialMatrix
 from lrdnet.sim import TimeSeries, simulate
 from lrdnet.wiener import (
     L_BLOCK,
     M_BLOCK,
+    _lagged_design,
     estimate_h,
     estimate_s,
     exact_filters,
@@ -261,3 +264,98 @@ def test_estimate_json_export(small_model):
     assert len(d["residual_variances"]) == small_model.l
     back = PolynomialMatrix.from_dict(d["coeffs"])
     assert back.allclose(est.coeffs, atol=0.0)
+
+
+def reference_estimate_s(ts, p, ridge):
+    """Row-by-row fit of the strict-past filter: one SVD of each row's own
+    design (the shared lagged design without the row's lag-0 column).
+    Returns (coeffs, residuals, rss, regressor groups, Gram-inverse blocks)."""
+    X_full = _lagged_design(ts.y_l, p)
+    Y = ts.y_l[p:]
+    l = ts.l
+    n_cols = l * (p + 1)
+    coeffs = np.zeros((p + 1, l, l))
+    residuals = np.empty((Y.shape[0], l))
+    groups, blocks = {}, {}
+    for i in range(l):
+        drop = i * (p + 1)
+        keep = np.delete(np.arange(n_cols), drop)
+        X = X_full[:, keep]
+        u, s, vt = np.linalg.svd(X, full_matrices=False)
+        if ridge == 0.0 and (s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_BOUND):
+            raise RankDeficientDesign("row design is singular")
+        denom = s**2 + ridge
+        beta = vt.T @ ((s / denom) * (u.T @ Y[:, i]))
+        gram_inv = (vt.T / denom) @ vt
+        residuals[:, i] = Y[:, i] - X @ beta
+        for pos, col in enumerate(keep):
+            j, k = divmod(col, p + 1)
+            coeffs[k, i, j] = beta[pos]
+        for j in range(l):
+            if j == i:
+                idx = np.arange(drop, drop + p)
+            else:
+                idx = np.arange(j * (p + 1), (j + 1) * (p + 1))
+                idx = idx - (idx > drop)
+            groups[(i, j)] = idx
+            blocks[(i, j)] = gram_inv[np.ix_(idx, idx)]
+    return coeffs, residuals, np.sum(residuals**2, axis=0), groups, blocks
+
+
+def correlated_series(seed, l, T=400):
+    """Full-rank channels with lag-0 mixing and AR(1) memory."""
+    rng = np.random.default_rng(seed)
+    mix = np.eye(l) + np.tril(rng.uniform(-0.5, 0.5, (l, l)), -1)
+    e = rng.standard_normal((T, l)) @ mix.T
+    y = np.empty_like(e)
+    y[0] = e[0]
+    for t in range(1, T):
+        y[t] = 0.6 * y[t - 1] + e[t]
+    return TimeSeries(data=y, m=0, l=l)
+
+
+def assert_rel_close(actual, expected, rel=1e-10):
+    # tolerance fixed before measuring: 1e-10 of the reference's largest entry
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
+class TestOneFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(2, 6),
+        p=st.integers(1, 4),
+        ridge=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_by_row_fits(self, l, p, ridge, seed):
+        ts = correlated_series(seed, l)
+        est = estimate_s(ts, order=p, ridge=ridge)
+        coeffs, residuals, rss, groups, blocks = reference_estimate_s(ts, p, ridge)
+        assert_rel_close(est.coeffs.coeffs, coeffs)
+        assert_rel_close(est.residuals, residuals)
+        assert_rel_close(est.rss_full, rss)
+        assert (est.coeffs.coeff(0).diagonal() == 0.0).all()
+        for key, block in blocks.items():
+            assert np.array_equal(est.regressor_groups[key], groups[key])
+            assert_rel_close(est.gram_inv_blocks[key], block)
+
+    def test_duplicate_channel_still_rank_deficient(self):
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal((500, 1))
+        ts = TimeSeries(data=np.hstack([y, y, y]), m=1, l=2)
+        with pytest.raises(RankDeficientDesign):
+            reference_estimate_s(ts, 2, 0.0)
+        with pytest.raises(RankDeficientDesign):
+            estimate_s(ts, order=2)
+        assert estimate_s(ts, order=2, ridge=1e-6).coeffs.rows == 2
+
+    def test_negative_ridge_refused_before_factoring(self):
+        # a NaN makes the SVD itself fail, so only a check made before it
+        # can report the bad ridge
+        data = correlated_series(1, 3).y_l.copy()
+        data[5, 1] = np.nan
+        ts = TimeSeries(data=data, m=1, l=2)
+        for fit in (estimate_h, estimate_s):
+            with pytest.raises(ValueError, match="ridge"):
+                fit(ts, order=2, ridge=-1.0)
