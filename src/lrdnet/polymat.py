@@ -3,7 +3,9 @@
 Every transfer function in the toolkit is carried by :class:`PolynomialMatrix`,
 a finite sum ``sum_k C_k z^-k`` with real coefficient matrices ``C_k``.
 Rational inverses are represented by horizon-truncated expansions computed
-with :func:`truncated_inverse`.
+with :func:`truncated_inverse`; where only the last coefficient or the
+recursion itself is needed, :func:`companion` gives the same recursion in
+block companion form.
 """
 
 from __future__ import annotations
@@ -277,6 +279,47 @@ def truncated_inverse(
             tail=tail,
         )
     return PolynomialMatrix(q)
+
+
+def companion(a: PolynomialMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-0 inverse and block companion matrix of the causal-inverse recursion.
+
+    For a square filter of degree d >= 1 the companion matrix C is
+    (n d) x (n d), with top block row -A_0^-1 [A_1 ... A_d] and a shifted
+    identity below it. It maps the state [Q_{k-1}; ...; Q_{k-d}] of the
+    :func:`truncated_inverse` recursion to [Q_k; ...; Q_{k-d+1}], so
+    Q_k = (C^k)[:n, :n] A_0^-1. A degree-0 filter has a (0, 0) companion
+    matrix. The lag-0 coefficient is not conditioning-checked here; callers
+    certify it first (see ``model.validate``).
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"companion matrix needs a square filter, got {a.shape}")
+    n, d = a.rows, a.degree
+    a0_inv = np.linalg.inv(a.coeff(0))
+    c = np.eye(n * d, k=-n)
+    if d:
+        c[:n] = -a0_inv @ a.coeffs[1:].transpose(1, 0, 2).reshape(n, n * d)
+    return a0_inv, c
+
+
+def inverse_tail_norm(a: PolynomialMatrix, horizon: int = DEFAULT_HORIZON) -> float:
+    """Frobenius norm of the causal-inverse coefficient Q_horizon of ``a``.
+
+    This is the decay certificate of :func:`truncated_inverse`, computed as
+    ||(C^horizon)[:n, :n] A_0^-1||_F by repeated squaring of the
+    :func:`companion` matrix (about log2(horizon) products instead of
+    ``horizon`` recursion steps). A divergent filter yields a non-finite
+    value without floating-point warnings.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if a.degree == 0:
+        return 0.0
+    a0_inv, c = companion(a)
+    n = a.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.linalg.matrix_power(c, horizon)[:n, :n] @ a0_inv
+        return float(np.linalg.norm(q))
 
 
 def vstack(top: PolynomialMatrix, bottom: PolynomialMatrix) -> PolynomialMatrix:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InsufficientData
 from .model import LrdnModel, require_valid
-from .polymat import PolynomialMatrix
+from .polymat import PolynomialMatrix, companion
 
 RNG_ALGORITHM = "numpy-default-pcg64"
 DEFAULT_BURN_IN = 500
@@ -85,6 +85,12 @@ def simulate(
     y_l(t) = (I - G_0)^-1 [w(t) + sum_{k>=1} G_k y_l(t-k)], and the
     deterministic block is the FIR readout of y_l, computed with the
     pre-burn-in history available so the retained window has no edge effects.
+
+    The recursion runs in companion form: u = w (I - G_0)^-T is formed once,
+    and each step adds one mat-vec of the top block row of
+    :func:`polymat.companion` (lags reordered oldest first) with the
+    zero-padded history window y_l(t-d), ..., y_l(t-1). A degree-0 g_l
+    needs no loop.
     """
     require_valid(model)
     if num_samples < 1:
@@ -95,15 +101,17 @@ def simulate(
     total = burn_in + num_samples
     w = _noise(rng, total, model.sigma_l)
 
-    g = model.g_l.coeffs
-    deg = model.g_l.degree
-    lead_inv = np.linalg.inv(np.eye(model.l) - g[0])
-    y_l = np.zeros((total, model.l))
-    for t in range(total):
-        acc = w[t].copy()
-        for k in range(1, min(deg, t) + 1):
-            acc += g[k] @ y_l[t - k]
-        y_l[t] = lead_inv @ acc
+    l = model.l
+    lead_inv, comp = companion(PolynomialMatrix.identity(l) - model.g_l)
+    deg = comp.shape[0] // l
+    ypad = np.zeros((deg + total, l))
+    ypad[deg:] = w @ lead_inv.T
+    if deg:
+        # top block row (I - G_0)^-1 [G_1 ... G_d], regrouped as [G_d ... G_1]
+        top = comp[:l].reshape(l, deg, l)[:, ::-1].reshape(l, deg * l)
+        for t in range(total):
+            ypad[t + deg] += top @ ypad[t : t + deg].ravel()
+    y_l = ypad[deg:]
 
     y_m = _apply_fir(model.g_ml, y_l)
     data = np.hstack([y_m[burn_in:], y_l[burn_in:]])
@@ -167,17 +175,44 @@ def write_csv(ts: TimeSeries, path, metadata: dict | None = None) -> Path:
 
 
 def read_csv(path) -> tuple[np.ndarray, dict | None]:
-    """Load a sample matrix; returns (array, sidecar metadata or None)."""
+    """Load a sample matrix; returns (array, sidecar metadata or None).
+
+    Every data row must have as many cells as the header, and every sample
+    cell must be a finite number; otherwise :class:`InsufficientData` names
+    the file and line. Lines starting with '#' are skipped.
+    """
     path = Path(path)
+    line = 0  # file line of the last line handed to the CSV reader, for messages
+
+    def data_lines(fh):
+        nonlocal line
+        for line, text in enumerate(fh, 1):
+            if not text.startswith("#"):
+                yield text
+
     with path.open(newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        reader = csv.reader(data_lines(fh))
         header = next(reader, None)
         if not header or header[0].strip() != "t":
             raise InsufficientData(f"{path} is not a sample CSV (missing 't' header)")
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        rows, numbers = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InsufficientData(f"{path}, line {line}: {len(row)} cells, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise InsufficientData(f"{path}, line {line}: {exc}") from None
+            numbers.append(line)
     if not rows:
         raise InsufficientData(f"{path} contains no samples")
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise InsufficientData(f"{path}, line {numbers[r]}: non-finite value in column {header[c + 1]!r}")
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
     return data, meta

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData
-from .model import DirectedGraph, LrdnModel, reduced_form
+from .model import DirectedGraph, LrdnModel, graph_from_supports, reduced_form
 from .polymat import DEFAULT_COND_BOUND, DEFAULT_HORIZON, DEFAULT_ZERO_TOL, truncated_inverse
 from .sim import TimeSeries
 from .wiener import L_BLOCK, M_BLOCK, ExactFilters, FilterEstimate, exact_filters
@@ -228,19 +228,7 @@ def support_graph(
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> DirectedGraph:
     """Population decision: edges read off the exact filters' supports."""
-    l = filters.s.rows
-    edges = set()
-    sup_h = filters.h.support(zero_tol)
-    sup_s = filters.s.support(zero_tol)
-    for i in range(m):
-        for j in range(l):
-            if sup_h[i, j]:
-                edges.add((i + 1, m + j + 1))
-    for i in range(l):
-        for j in range(l):
-            if sup_s[i, j]:
-                edges.add((m + i + 1, m + j + 1))
-    return DirectedGraph(num_nodes=m + l, m=m, edges=frozenset(edges))
+    return graph_from_supports(filters.h.support(zero_tol), filters.s.support(zero_tol), m)
 
 
 @dataclass(frozen=True)

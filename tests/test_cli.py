@@ -1,9 +1,15 @@
 """Command-line pipeline: file round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import lrdnet
 
 from lrdnet.cli import (
     config_hash,
@@ -24,6 +30,15 @@ def write_config(tmp_path, **overrides):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(lrdnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "lrdnet.cli", *args], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 class TestConfig:
@@ -146,6 +161,23 @@ class TestPipeline:
         data.write_text("\n".join(rows) + "\n")
         code = main(["estimate", "--data", str(data), "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "cell, bad",
+        [("nan", "non-finite value"), (None, "4 cells, header has 5"), ("abc", "could not convert")],
+    )
+    def test_malformed_csv_is_one_line_error(self, tmp_path, cell, bad):
+        y = np.random.default_rng(3).standard_normal((2000, 4))
+        rows = ["t,y1,y2,y3,y4"] + [f"{t + 1}," + ",".join(repr(float(v)) for v in y[t]) for t in range(2000)]
+        rows[1201] = "1201,0.5,0.25,0.125" if cell is None else f"1201,0.5,{cell},0.25,0.125"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg_path = write_config(tmp_path, partition={"max_lag": 2})
+        proc = run_cli("estimate", "--config", cfg_path, "--data", str(data), "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode in (1, 2)
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.strip().splitlines()
+        assert str(data) in line and "line 1202" in line and bad in line
 
     def test_unknown_argument_is_config_error(self, tmp_path):
         assert main(["generate", "--nonsense"]) == 1

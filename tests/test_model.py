@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config, twelve_node_config
 from lrdnet.errors import GenerationFailed, InvalidModel
@@ -16,7 +18,7 @@ from lrdnet.model import (
     true_graph,
     validate,
 )
-from lrdnet.polymat import PolynomialMatrix
+from lrdnet.polymat import DEFAULT_DECAY_TOL, PolynomialMatrix, truncated_inverse
 
 
 def ar1_model(a=0.5, m=1, h=0.7):
@@ -55,6 +57,17 @@ class TestValidate:
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"inverse_decay_tail"}
 
+    def test_divergent_candidate_fails_decay_quietly(self):
+        with np.errstate(all="raise"):
+            report = validate(ar1_model(a=3.0), horizon=1000)
+        (tail,) = [c for c in report.checks if c.name == "inverse_decay_tail"]
+        assert not tail.passed
+        assert not np.isfinite(tail.value)
+
+    def test_nonpositive_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            validate(ar1_model(a=0.5), horizon=0)
+
     def test_nonpositive_sigma_fails(self):
         model = LrdnModel(
             m=1,
@@ -66,6 +79,41 @@ class TestValidate:
         assert not validate(model).ok
         with pytest.raises(InvalidModel):
             require_valid(model)
+
+
+class TestCompanionTail:
+    """The decay check equals the last coefficient of the truncated inverse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l=st.integers(1, 4),
+        degree=st.integers(0, 3),
+        scale=st.floats(0.05, 2.0),
+        lag0_offdiag=st.booleans(),
+        horizon=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_truncated_inverse(self, l, degree, scale, lag0_offdiag, horizon, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(-scale, scale, (degree + 1, l, l))
+        g[0] *= 0.5 if lag0_offdiag else 0.0
+        np.fill_diagonal(g[0], 0.0)
+        model = LrdnModel(
+            m=1, l=l, g_ml=PolynomialMatrix.zeros(1, l), g_l=PolynomialMatrix(g), sigma_l=np.ones(l)
+        )
+        checks = {c.name: c for c in validate(model, horizon=horizon).checks}
+        assume(checks["leading_coefficient_condition"].passed)
+        tail = checks["inverse_decay_tail"]
+        with np.errstate(all="ignore"):
+            ref = truncated_inverse(PolynomialMatrix.identity(l) - model.g_l, horizon, decay_tol=np.inf)
+            expected = float(np.linalg.norm(ref.coeffs[-1]))
+        assert tail.passed == (expected <= DEFAULT_DECAY_TOL)
+        if np.isfinite(expected) and np.isfinite(tail.value):
+            assert abs(tail.value - expected) <= 1e-9 * expected
+        else:
+            assert not tail.passed
+        if degree == 0:
+            assert tail.value == 0.0
 
 
 class TestDirectedGraph:
@@ -215,6 +263,7 @@ class TestRandomModel:
         assert true_graph(model).edges == frozenset()
         assert validate(model).ok
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_generation_failed_on_wild_coefficients(self):
         cfg = GeneratorConfig(
             m=1,

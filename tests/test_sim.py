@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config
 from lrdnet.errors import InsufficientData
@@ -9,6 +11,7 @@ from lrdnet.model import LrdnModel, random_model, reduced_form
 from lrdnet.polymat import PolynomialMatrix, vstack
 from lrdnet.sim import (
     TimeSeries,
+    _apply_fir,
     read_csv,
     simulate,
     simulate_from_factor,
@@ -26,6 +29,54 @@ def white_model(m=2, l=2):
         g_l=PolynomialMatrix.zeros(l, l),
         sigma_l=np.ones(l),
     )
+
+
+def per_step_recursion(model, num_samples, burn_in, seed):
+    """Reference: the defining recursion one lag at a time,
+    y_l(t) = (I - G_0)^-1 [w(t) + sum_{k=1..min(d, t)} G_k y_l(t-k)]."""
+    rng = np.random.default_rng(seed)
+    total = burn_in + num_samples
+    w = rng.standard_normal((total, model.l)) * np.sqrt(model.sigma_l)
+    g = model.g_l.coeffs
+    lead_inv = np.linalg.inv(np.eye(model.l) - g[0])
+    y_l = np.zeros((total, model.l))
+    for t in range(total):
+        acc = w[t].copy()
+        for k in range(1, min(model.g_l.degree, t) + 1):
+            acc += g[k] @ y_l[t - k]
+        y_l[t] = lead_inv @ acc
+    return np.hstack([_apply_fir(model.g_ml, y_l), y_l])[burn_in:]
+
+
+class TestCompanionRecursion:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        l=st.integers(1, 4),
+        degree=st.integers(0, 3),
+        scale=st.floats(0.1, 0.95),
+        lag0_offdiag=st.booleans(),
+        num_samples=st.integers(1, 150),
+        burn_in=st.one_of(st.just(0), st.integers(1, 80)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_recursion(self, m, l, degree, scale, lag0_offdiag, num_samples, burn_in, seed):
+        # every row of sum_k |G_k| sums to at most scale < 1, so the loop is stable
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(-1.0, 1.0, (degree + 1, l, l)) * scale / (l * (degree + 1))
+        if not lag0_offdiag:
+            g[0] = 0.0
+        np.fill_diagonal(g[0], 0.0)
+        model = LrdnModel(
+            m=m,
+            l=l,
+            g_ml=PolynomialMatrix(rng.standard_normal((3, m, l))),
+            g_l=PolynomialMatrix(g),
+            sigma_l=rng.uniform(0.5, 2.0, l),
+        )
+        ts = simulate(model, num_samples=num_samples, burn_in=burn_in, seed=seed)
+        ref = per_step_recursion(model, num_samples, burn_in, seed)
+        assert np.abs(ts.data - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSimulate:
@@ -132,6 +183,19 @@ class TestCsv:
         path = tmp_path / "d.csv"
         write_csv(ts, path)
         assert path.read_text().splitlines()[0] == "t,y1,y2,y3"
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("3,0.5", "2 cells"), ("3,0.5,abc", "abc"), ("3,nan,0.5", "non-finite"), ("3,0.5,inf", "non-finite")],
+    )
+    def test_bad_rows_rejected_with_line(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("# comment\nt,y1,y2\n1,0.1,0.2\n\n" + row + "\n")
+        with pytest.raises(InsufficientData) as info:
+            read_csv(path)
+        message = str(info.value)
+        assert "\n" not in message
+        assert str(path) in message and "line 5" in message and reason in message
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
