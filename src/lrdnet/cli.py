@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .model import (
     validate,
 )
 from .model import DirectedGraph
-from .sim import read_csv, simulate, write_csv
+from .sim import read_csv, simulate, simulate_accepted, write_csv
 from .topology import (
     apply_partition,
     compare_graphs,
@@ -95,11 +96,29 @@ def load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         cfg = _merge(cfg, user)
-    if not isinstance(cfg.get("trials"), int) or cfg["trials"] < 1:
-        raise ConfigError("trials must be a positive integer")
+    for section in ("generator", "sim", "estimation", "decision", "partition"):
+        if not isinstance(cfg.get(section), dict):
+            raise ConfigError(f"{section} must be a JSON object")
+    _check_number(cfg, "trials", 1)
+    _check_number(cfg, "master_seed", 0)
+    _check_number(cfg, "sim.num_samples", 1)
+    _check_number(cfg, "sim.burn_in", 0)
+    _check_number(cfg, "estimation.order_p", 1)
+    _check_number(cfg, "estimation.ridge", 0, integer=False)
     if cfg["decision"].get("correction") not in ("none", "bonferroni"):
         raise ConfigError("decision.correction must be 'none' or 'bonferroni'")
     return cfg
+
+
+def _check_number(cfg: dict, name: str, minimum: int, integer: bool = True) -> None:
+    """Refuse a missing, non-numeric, non-finite or too small config value;
+    ``name`` is a top-level key or "section.key"."""
+    section, _, key = name.rpartition(".")
+    value = (cfg[section] if section else cfg).get(key)
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not minimum <= value < float("inf"):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {kind} >= {minimum}, got {value!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -283,12 +302,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# trials.csv columns between "trial, seed" and "error"; empty on a failed trial
+METRIC_FIELDS = ("exact_match", "precision", "recall", "true_positives", "false_positives", "false_negatives")
+
+
 def run_experiment(cfg: dict, out_dir: Path) -> dict:
     """Monte-Carlo loop behind the run-experiment subcommand.
 
     Per-trial seeds derive from (master_seed, trial, stream), so the result
-    tree is a pure function of the config. Per-trial failures are recorded
-    and the run continues.
+    tree is a pure function of the config. The loop runs in three stages:
+    draw every trial's model from its own seed, simulate all accepted models
+    in one lock-step call, then fit, decide and score each trial. Per-trial
+    failures are recorded and the run continues.
     """
     chash = config_hash(cfg)
     master = cfg["master_seed"]
@@ -296,70 +321,51 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     ridge = cfg["estimation"]["ridge"]
     alpha = cfg["decision"]["alpha"]
     correction = cfg["decision"]["correction"]
+    trials = range(cfg["trials"])
+    t_start = time.time()
 
-    fixed_model = None
-    if cfg.get("fixed_model"):
+    models, errors = {}, {}
+    try:
         gcfg = GeneratorConfig.from_dict({**cfg["generator"], "rng_seed": derive_seed(master, 0, 0)})
-        fixed_model = random_model(gcfg)
+        if cfg.get("fixed_model"):
+            models = dict.fromkeys(trials, random_model(gcfg))
+        else:
+            for trial in trials:
+                try:
+                    models[trial] = random_model(replace(gcfg, rng_seed=derive_seed(master, trial, 0)))
+                except LrdnError as exc:
+                    errors[trial] = exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"generator config rejected: {exc}") from exc
+
+    seeds = {trial: derive_seed(master, trial, 1) for trial in trials}
+    series = simulate_accepted(
+        list(models.values()),
+        num_samples=cfg["sim"]["num_samples"],
+        burn_in=cfg["sim"]["burn_in"],
+        seeds=[seeds[trial] for trial in models],
+    )
 
     rows = []
-    t_start = time.time()
-    for trial in range(cfg["trials"]):
-        trial_row = {"trial": trial, "seed": derive_seed(master, trial, 1)}
+    for trial, ts in zip(models, series):
         try:
-            if fixed_model is not None:
-                model = fixed_model
-            else:
-                gcfg = GeneratorConfig.from_dict(
-                    {**cfg["generator"], "rng_seed": derive_seed(master, trial, 0)}
-                )
-                model = random_model(gcfg)
-            ts = simulate(
-                model,
-                num_samples=cfg["sim"]["num_samples"],
-                burn_in=cfg["sim"]["burn_in"],
-                seed=trial_row["seed"],
-            )
             h_est = estimate_h(ts, order=p, ridge=ridge)
             s_est = estimate_s(ts, order=p, ridge=ridge)
             decided = decide_graph(h_est, s_est, alpha=alpha, correction=correction)
-            metrics = compare_graphs(decided, true_graph(model, zero_tol=cfg["decision"]["zero_tol"]))
-            trial_row.update(
-                exact_match=int(metrics.exact_match),
-                precision=metrics.precision,
-                recall=metrics.recall,
-                true_positives=metrics.true_positives,
-                false_positives=metrics.false_positives,
-                false_negatives=metrics.false_negatives,
-                error="",
-            )
+            metrics = compare_graphs(decided, true_graph(models[trial], zero_tol=cfg["decision"]["zero_tol"]))
         except LrdnError as exc:
-            trial_row.update(
-                exact_match="",
-                precision="",
-                recall="",
-                true_positives="",
-                false_positives="",
-                false_negatives="",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        rows.append(trial_row)
+            errors[trial] = exc
+            continue
+        scores = {field: getattr(metrics, field) for field in METRIC_FIELDS}
+        rows.append({"trial": trial, "seed": seeds[trial], **scores, "exact_match": int(metrics.exact_match), "error": ""})
+    for trial, exc in errors.items():
+        failed = dict.fromkeys(METRIC_FIELDS, "")
+        rows.append({"trial": trial, "seed": seeds[trial], **failed, "error": f"{type(exc).__name__}: {exc}"})
     runtime = time.time() - t_start
 
-    fieldnames = [
-        "trial",
-        "seed",
-        "exact_match",
-        "precision",
-        "recall",
-        "true_positives",
-        "false_positives",
-        "false_negatives",
-        "error",
-    ]
     with (out_dir / "trials.csv").open("w", newline="") as fh:
         fh.write(f"# config_hash={chash} master_seed={master}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=["trial", "seed", *METRIC_FIELDS, "error"])
         writer.writeheader()
         for row in sorted(rows, key=lambda r: r["trial"]):
             writer.writerow(row)
@@ -404,13 +410,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def nonnegative_seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds must be nonnegative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lrdnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON config merged over the defaults")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=nonnegative_seed, help="override the config seed")
         p.add_argument("--out-dir", help="output directory (default from config)")
         p.add_argument(
             "--format",

@@ -3,6 +3,12 @@
 Generation is deterministic in the seed: innovations are drawn in one block
 from ``numpy.random.default_rng(seed)`` (PCG64), so the recursion route and
 the stacked-transfer route consume identical noise streams for the same seed.
+
+The recursion route has one implementation, :func:`simulate_accepted`, which
+runs the recursions of many already validated models in lock-step (the
+Monte-Carlo loop of ``run-experiment`` hands it every trial at once). A
+model's samples are the same bits whether it runs alone or in a batch;
+:func:`simulate` validates one model and runs it as a batch of one.
 """
 
 from __future__ import annotations
@@ -11,8 +17,10 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientData
 from .model import LrdnModel, require_valid
@@ -86,36 +94,79 @@ def simulate(
     deterministic block is the FIR readout of y_l, computed with the
     pre-burn-in history available so the retained window has no edge effects.
 
-    The recursion runs in companion form: u = w (I - G_0)^-T is formed once,
-    and each step adds one mat-vec of the top block row of
-    :func:`polymat.companion` (lags reordered oldest first) with the
-    zero-padded history window y_l(t-d), ..., y_l(t-1). A degree-0 g_l
-    needs no loop.
+    The model is validated first (:func:`model.require_valid`); the recursion
+    itself is :func:`simulate_accepted` on a batch of one.
     """
     require_valid(model)
+    return simulate_accepted([model], num_samples, burn_in, [seed])[0]
+
+
+def simulate_accepted(
+    models: Sequence[LrdnModel],
+    num_samples: int,
+    burn_in: int,
+    seeds: Sequence[int],
+) -> list[TimeSeries]:
+    """Simulate every model with its own seed; one TimeSeries per model, in order.
+
+    Precondition: every model has passed :func:`model.validate` with the
+    default arguments, as every :func:`model.random_model` result has. The
+    models are not validated again.
+
+    Each model draws its noise w from ``default_rng(seed)`` and forms
+    u = w (I - G_0)^-T once. The recursion runs in companion form: each step
+    adds one mat-vec of the top block row of :func:`polymat.companion` (lags
+    reordered oldest first) with the zero-padded history window
+    y_l(t-d), ..., y_l(t-1). Models with the same l and companion degree d
+    run in lock-step, one stacked ``np.matmul`` per step over the group. The
+    stack performs each model's mat-vec as a batch of one would, so a
+    model's samples do not depend on the other models in the call. A
+    degree-0 g_l needs no loop. The FIR readout and the burn-in cut are per
+    model.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    rng = np.random.default_rng(seed)
+    if len(seeds) != len(models):
+        raise ValueError(f"{len(models)} models but {len(seeds)} seeds")
     total = burn_in + num_samples
-    w = _noise(rng, total, model.sigma_l)
 
-    l = model.l
-    lead_inv, comp = companion(PolynomialMatrix.identity(l) - model.g_l)
-    deg = comp.shape[0] // l
-    ypad = np.zeros((deg + total, l))
-    ypad[deg:] = w @ lead_inv.T
-    if deg:
-        # top block row (I - G_0)^-1 [G_1 ... G_d], regrouped as [G_d ... G_1]
-        top = comp[:l].reshape(l, deg, l)[:, ::-1].reshape(l, deg * l)
-        for t in range(total):
-            ypad[t + deg] += top @ ypad[t : t + deg].ravel()
-    y_l = ypad[deg:]
+    groups: dict[tuple[int, int], list[int]] = {}
+    lead_invs, top_rows = [], []
+    for i, model in enumerate(models):
+        lead_inv, comp = companion(PolynomialMatrix.identity(model.l) - model.g_l)
+        lead_invs.append(lead_inv)
+        top_rows.append(comp[: model.l])  # (I - G_0)^-1 [G_1 ... G_d]
+        groups.setdefault((model.l, comp.shape[0] // model.l), []).append(i)
 
-    y_m = _apply_fir(model.g_ml, y_l)
-    data = np.hstack([y_m[burn_in:], y_l[burn_in:]])
-    return TimeSeries(data=data, m=model.m, l=model.l, seed=seed)
+    out = [None] * len(models)
+    for (l, deg), members in groups.items():
+        n = len(members)
+        ypad = np.zeros((n, deg + total, l))
+        for k, i in enumerate(members):
+            w = _noise(np.random.default_rng(seeds[i]), total, models[i].sigma_l)
+            ypad[k, deg:] = w @ lead_invs[i].T
+        if deg:
+            # regrouped as [G_d ... G_1]. Regrouping the stack keeps each
+            # model's memory layout as regrouping it alone would: at l = 1 a
+            # reversed view, which numpy multiplies without BLAS. The layout
+            # picks the summation order, so it keeps the samples' bits.
+            stacked = np.stack([top_rows[i] for i in members])
+            top = stacked.reshape(n, l, deg, l)[:, :, ::-1].reshape(n, l, deg * l)
+            # window[t]: every model's history y_l(t-d), ..., y_l(t-1) as a
+            # (d l, 1) column, read in place; nxt[t]: every model's y_l(t)
+            s_model, s_time, s_item = ypad.strides
+            window = as_strided(ypad, (total, n, deg * l, 1), (s_time, s_model, s_item, s_item), writeable=False)
+            nxt = ypad[:, deg:].transpose(1, 0, 2)[..., None]
+            for t in range(total):
+                nxt[t] += top @ window[t]
+        for k, i in enumerate(members):
+            y_l = ypad[k, deg:]
+            y_m = _apply_fir(models[i].g_ml, y_l)
+            data = np.hstack([y_m[burn_in:], y_l[burn_in:]])
+            out[i] = TimeSeries(data=data, m=models[i].m, l=l, seed=seeds[i])
+    return out
 
 
 def simulate_from_factor(

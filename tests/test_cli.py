@@ -1,5 +1,6 @@
 """Command-line pipeline: file round trips, exit codes, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import lrdnet
+import lrdnet.cli
 
 from lrdnet.cli import (
     config_hash,
@@ -18,7 +20,11 @@ from lrdnet.cli import (
     load_config,
     main,
 )
-from lrdnet.model import DirectedGraph
+from lrdnet.errors import GenerationFailed
+from lrdnet.model import DirectedGraph, GeneratorConfig, random_model, true_graph
+from lrdnet.sim import simulate, simulate_accepted
+from lrdnet.topology import compare_graphs, decide_graph
+from lrdnet.wiener import estimate_h, estimate_s
 
 
 def write_config(tmp_path, **overrides):
@@ -64,6 +70,32 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"sim": {"num_samples": 0}}, "sim.num_samples"),
+            ({"sim": {"burn_in": -1}}, "sim.burn_in"),
+            ({"sim": {"num_samples": "x"}}, "sim.num_samples"),
+            ({"estimation": {"order_p": 0}}, "estimation.order_p"),
+            ({"estimation": {"order_p": -1}}, "estimation.order_p"),
+            ({"estimation": {"ridge": -1}}, "estimation.ridge"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"generator": {"m": 0}}, "dimensions must be positive"),
+            ({"generator": {"bogus": 1}}, "bogus"),
+            ({"generator": {"support_l": 99}}, "requested 99 edges"),
+        ],
+    )
+    def test_malformed_config_is_one_line_error(self, tmp_path, override, message):
+        path = write_config(tmp_path, **override)
+        proc = run_cli("run-experiment", "--trials", "2", "--config", path, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("config error:") and message in line
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        assert main(["run-experiment", "--seed", "-1", "--out-dir", str(tmp_path / "o")]) == 1
 
     def test_config_hash_is_stable(self):
         cfg = default_experiment_config()
@@ -243,6 +275,68 @@ class TestRunExperiment:
             "aggregate.json": "319e89b21fd036d9f55c3dffaf45858f5af5de1829a5b2f983ac9b6ac19d15c7",
             "trials.csv": "b425d0f6039efdf0626d4bdceb304b243bf9458449e6b3db18bc4de5b6f446b3",
         }
+
+    def test_fixed_model_result_digests_are_pinned(self, tmp_path):
+        # the pin above covers fresh models only; this one covers one model
+        # reused across trials (digests taken before the trial loop was staged)
+        import hashlib
+
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, trials=3, fixed_model=True)
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("aggregate.json", "trials.csv")
+        }
+        assert digests == {
+            "aggregate.json": "ff02472bc78d9724ae5798865242521c5e1bc3a316fbdf003892bdc04ed16fcf",
+            "trials.csv": "a8536e0e76afd2d004406e0c387fa711d79dcf629e2b646f62f25f15d5534575",
+        }
+
+    def test_rows_match_trial_by_trial_reference(self, tmp_path, monkeypatch):
+        # with no rejections allowed, some trials fail generation; the staged
+        # loop must give every other trial the samples and the row that a
+        # one-trial-at-a-time pipeline gives it, and fail the rest alike
+        simulated = []
+
+        def recording(*args, **kwargs):
+            simulated.extend(simulate_accepted(*args, **kwargs))
+            return simulated
+
+        monkeypatch.setattr(lrdnet.cli, "simulate_accepted", recording)
+        cfg_path = write_config(tmp_path, trials=6, generator={"max_rejections": 0})
+        out = tmp_path / "o"
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "2", "--out-dir", str(out)]) == 0
+        with (out / "trials.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        cfg = load_config(cfg_path)
+        accepted = iter(simulated)
+        for trial, row in enumerate(rows):
+            seed = derive_seed(2, trial, 1)
+            assert (row["trial"], row["seed"]) == (str(trial), str(seed))
+            gcfg = GeneratorConfig.from_dict({**cfg["generator"], "rng_seed": derive_seed(2, trial, 0)})
+            try:
+                model = random_model(gcfg)
+            except GenerationFailed as exc:
+                assert row["error"] == f"GenerationFailed: {exc}"
+                assert not row["precision"]
+                continue
+            ts = simulate(model, num_samples=200, burn_in=500, seed=seed)
+            assert np.array_equal(next(accepted).data, ts.data)
+            decided = decide_graph(estimate_h(ts, order=2), estimate_s(ts, order=2), alpha=0.01, correction="bonferroni")
+            metrics = compare_graphs(decided, true_graph(model))
+            expected = {
+                "exact_match": int(metrics.exact_match),
+                "precision": metrics.precision,
+                "recall": metrics.recall,
+                "true_positives": metrics.true_positives,
+                "false_positives": metrics.false_positives,
+                "false_negatives": metrics.false_negatives,
+                "error": "",
+            }
+            assert {key: row[key] for key in expected} == {key: str(value) for key, value in expected.items()}
+        assert 0 < len(simulated) < len(rows)
+        assert next(accepted, None) is None
 
     def test_fixed_model_mode_runs_and_differs_from_fresh(self, tmp_path):
         out_a, out_b = tmp_path / "fixed", tmp_path / "fresh"

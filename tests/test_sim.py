@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config
 from lrdnet.errors import InsufficientData
 from lrdnet.model import LrdnModel, random_model, reduced_form
-from lrdnet.polymat import PolynomialMatrix, vstack
+from lrdnet.polymat import PolynomialMatrix, companion, vstack
 from lrdnet.sim import (
     TimeSeries,
     _apply_fir,
     read_csv,
     simulate,
+    simulate_accepted,
     simulate_from_factor,
     timeseries_from_csv,
     write_csv,
@@ -48,6 +49,54 @@ def per_step_recursion(model, num_samples, burn_in, seed):
     return np.hstack([_apply_fir(model.g_ml, y_l), y_l])[burn_in:]
 
 
+def stable_model(m, l, degree, scale, lag0_offdiag, seed):
+    """Random model whose rows of sum_k |G_k| sum to at most scale < 1, so
+    the recursion is stable; G_0 has a zero diagonal and, unless
+    ``lag0_offdiag``, is zero."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, (degree + 1, l, l)) * scale / (l * (degree + 1))
+    if not lag0_offdiag:
+        g[0] = 0.0
+    np.fill_diagonal(g[0], 0.0)
+    return LrdnModel(
+        m=m,
+        l=l,
+        g_ml=PolynomialMatrix(rng.standard_normal((3, m, l))),
+        g_l=PolynomialMatrix(g),
+        sigma_l=rng.uniform(0.5, 2.0, l),
+    )
+
+
+def companion_loop(model, num_samples, burn_in, seed):
+    """Reference: the companion-form recursion of one model on its own, one
+    (l, d l) @ (d l,) mat-vec per step. The batched recursion must match it
+    bit for bit, so run-experiment results do not depend on the batching."""
+    rng = np.random.default_rng(seed)
+    total = burn_in + num_samples
+    w = rng.standard_normal((total, model.l)) * np.sqrt(model.sigma_l)
+    l = model.l
+    lead_inv, comp = companion(PolynomialMatrix.identity(l) - model.g_l)
+    deg = comp.shape[0] // l
+    ypad = np.zeros((deg + total, l))
+    ypad[deg:] = w @ lead_inv.T
+    if deg:
+        top = comp[:l].reshape(l, deg, l)[:, ::-1].reshape(l, deg * l)
+        for t in range(total):
+            ypad[t + deg] += top @ ypad[t : t + deg].ravel()
+    y_l = ypad[deg:]
+    return np.hstack([_apply_fir(model.g_ml, y_l), y_l])[burn_in:]
+
+
+MODEL_SPEC = st.tuples(
+    st.integers(1, 3),  # m
+    st.integers(1, 4),  # l
+    st.integers(0, 3),  # degree of g_l
+    st.floats(0.1, 0.95),  # scale
+    st.booleans(),  # lag0_offdiag
+    st.integers(0, 2**32 - 1),  # seed of the model; its noise uses seed + 1
+)
+
+
 class TestCompanionRecursion:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -61,22 +110,49 @@ class TestCompanionRecursion:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_step_recursion(self, m, l, degree, scale, lag0_offdiag, num_samples, burn_in, seed):
-        # every row of sum_k |G_k| sums to at most scale < 1, so the loop is stable
-        rng = np.random.default_rng(seed)
-        g = rng.uniform(-1.0, 1.0, (degree + 1, l, l)) * scale / (l * (degree + 1))
-        if not lag0_offdiag:
-            g[0] = 0.0
-        np.fill_diagonal(g[0], 0.0)
-        model = LrdnModel(
-            m=m,
-            l=l,
-            g_ml=PolynomialMatrix(rng.standard_normal((3, m, l))),
-            g_l=PolynomialMatrix(g),
-            sigma_l=rng.uniform(0.5, 2.0, l),
-        )
+        model = stable_model(m, l, degree, scale, lag0_offdiag, seed)
         ts = simulate(model, num_samples=num_samples, burn_in=burn_in, seed=seed)
         ref = per_step_recursion(model, num_samples, burn_in, seed)
         assert np.abs(ts.data - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestSimulateAccepted:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(MODEL_SPEC, min_size=1, max_size=8),
+        num_samples=st.integers(1, 120),
+        burn_in=st.one_of(st.just(0), st.integers(1, 60)),
+    )
+    @example(
+        # every l and degree, two degree groups holding two models each, burn_in = 0
+        specs=[(1, 1, 0, 0.5, False, 1), (2, 2, 1, 0.9, True, 2), (3, 3, 2, 0.7, True, 3),
+               (1, 4, 3, 0.95, False, 4), (2, 2, 1, 0.3, False, 5), (1, 4, 3, 0.6, True, 6)],
+        num_samples=50,
+        burn_in=0,
+    )
+    def test_batch_matches_separate_calls(self, specs, num_samples, burn_in):
+        # a model's samples do not depend on the other models in the call
+        models = [stable_model(*spec) for spec in specs]
+        seeds = [spec[-1] + 1 for spec in specs]
+        batch = simulate_accepted(models, num_samples, burn_in, seeds)
+        assert len(batch) == len(models)
+        for model, seed, ts in zip(models, seeds, batch):
+            alone = simulate(model, num_samples=num_samples, burn_in=burn_in, seed=seed)
+            assert np.array_equal(ts.data, alone.data)
+            assert np.array_equal(ts.data, companion_loop(model, num_samples, burn_in, seed))
+            assert (ts.m, ts.l, ts.seed) == (model.m, model.l, seed)
+
+    def test_rejects_bad_arguments(self):
+        model = white_model()
+        with pytest.raises(ValueError):
+            simulate_accepted([model], 0, 10, [1])
+        with pytest.raises(ValueError):
+            simulate_accepted([model], 10, -1, [1])
+        with pytest.raises(ValueError):
+            simulate_accepted([model, model], 10, 10, [1])
+
+    def test_empty_batch(self):
+        assert simulate_accepted([], 10, 10, []) == []
 
 
 class TestSimulate:
