@@ -13,8 +13,7 @@ from lrdnet import (
     GeneratorConfig,
     compare_graphs,
     decide_graph,
-    estimate_h,
-    estimate_s,
+    estimate_filters,
     exact_filters,
     random_model,
     simulate,
@@ -47,8 +46,7 @@ print("population (exact-filter) decision matches truth:", pop == truth)
 
 # Now the statistical route on a short sample.
 ts = simulate(model, num_samples=200, burn_in=500, seed=99)
-h_est = estimate_h(ts, order=2)
-s_est = estimate_s(ts, order=2)
+h_est, s_est = estimate_filters(ts, order=2)  # one lagged design, one SVD
 print(f"fit orders: {h_est.order}; residual RMS of determined block "
       f"{np.sqrt(np.mean(h_est.residuals**2)):.2e} (deterministic relation)")
 

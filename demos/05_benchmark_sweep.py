@@ -59,11 +59,11 @@ print(" the partition of a low-rank process is not unique)")
 print(f"rank gap between kept and discarded residuals: {part.rank_gap:.1e}")
 
 # verify the selection explains every remaining channel exactly
-from lrdnet.topology import _window_design
+from lrdnet.wiener import lagged_design
 
 sel = [i - 1 for i in part.l_indices]
 rest = [i - 1 for i in part.m_indices]
-X = _window_design(shuffled, sel, 8)
+X = lagged_design(shuffled[:, sel], range(9), intercept=True)  # lags 0..8 and an intercept
 targets = shuffled[8:, rest]
 beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
 rms = float(np.sqrt(np.mean((targets - X @ beta) ** 2)))

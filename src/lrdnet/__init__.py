@@ -61,6 +61,7 @@ from .wiener import (
     M_BLOCK,
     ExactFilters,
     FilterEstimate,
+    estimate_filters,
     estimate_h,
     estimate_s,
     exact_filters,

@@ -40,7 +40,7 @@ from .topology import (
     support_graph,
     write_edge_tests_csv,
 )
-from .wiener import estimate_h, estimate_s, exact_filters
+from .wiener import estimate_filters, exact_filters
 
 
 class ConfigError(Exception):
@@ -105,20 +105,30 @@ def load_config(path: str | None) -> dict:
     _check_number(cfg, "sim.burn_in", 0)
     _check_number(cfg, "estimation.order_p", 1)
     _check_number(cfg, "estimation.ridge", 0, integer=False)
+    _check_number(cfg, "decision.alpha", fraction=True)
+    _check_number(cfg, "decision.zero_tol", 0, integer=False)
     if cfg["decision"].get("correction") not in ("none", "bonferroni"):
         raise ConfigError("decision.correction must be 'none' or 'bonferroni'")
+    _check_number(cfg, "partition.max_lag", 1)
+    _check_number(cfg, "partition.rank_tol", fraction=True)
     return cfg
 
 
-def _check_number(cfg: dict, name: str, minimum: int, integer: bool = True) -> None:
-    """Refuse a missing, non-numeric, non-finite or too small config value;
-    ``name`` is a top-level key or "section.key"."""
+def _check_number(cfg: dict, name: str, minimum: int = 0, integer: bool = True, fraction: bool = False) -> None:
+    """Refuse a missing, non-numeric, non-finite or too small config value,
+    or with ``fraction`` one outside (0, 1); ``name`` is a top-level key or
+    "section.key"."""
     section, _, key = name.rpartition(".")
     value = (cfg[section] if section else cfg).get(key)
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not minimum <= value < float("inf"):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{name} must be {kind} >= {minimum}, got {value!r}")
+    if fraction:
+        ok = isinstance(value, (int, float)) and 0 < value < 1
+        need = "a number strictly between 0 and 1"
+    else:
+        kinds = int if integer else (int, float)
+        ok = not isinstance(value, bool) and isinstance(value, kinds) and minimum <= value < float("inf")
+        need = f"{'an integer' if integer else 'a finite number'} >= {minimum}"
+    if not ok:
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -222,6 +232,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# data read from a file can be finite yet overflow in the fits: stop at the
+# first overflow or invalid value instead of computing on inf and nan
+@np.errstate(over="raise", invalid="raise")
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
@@ -242,8 +255,7 @@ def cmd_estimate(args) -> int:
 
     p = cfg["estimation"]["order_p"]
     ridge = cfg["estimation"]["ridge"]
-    s_est = estimate_s(ts, order=p, ridge=ridge)
-    h_est = estimate_h(ts, order=p, ridge=ridge) if ts.m >= 1 else None
+    h_est, s_est = estimate_filters(ts, order=p, ridge=ridge)
     _write_json(out / "filter_s.json", {"estimate": s_est.to_dict()}, chash, seed)
     if h_est is not None:
         _write_json(out / "filter_h.json", {"estimate": h_est.to_dict()}, chash, seed)
@@ -349,8 +361,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     rows = []
     for trial, ts in zip(models, series):
         try:
-            h_est = estimate_h(ts, order=p, ridge=ridge)
-            s_est = estimate_s(ts, order=p, ridge=ridge)
+            h_est, s_est = estimate_filters(ts, order=p, ridge=ridge)
             decided = decide_graph(h_est, s_est, alpha=alpha, correction=correction)
             metrics = compare_graphs(decided, true_graph(models[trial], zero_tol=cfg["decision"]["zero_tol"]))
         except LrdnError as exc:
@@ -474,7 +485,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except LrdnError as exc:
+    except (LrdnError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

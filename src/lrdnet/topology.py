@@ -20,7 +20,7 @@ from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData
 from .model import DirectedGraph, LrdnModel, graph_from_supports, reduced_form
 from .polymat import DEFAULT_COND_BOUND, DEFAULT_HORIZON, DEFAULT_ZERO_TOL, truncated_inverse
 from .sim import TimeSeries
-from .wiener import L_BLOCK, M_BLOCK, ExactFilters, FilterEstimate, exact_filters
+from .wiener import L_BLOCK, M_BLOCK, ExactFilters, FilterEstimate, exact_filters, lagged_design
 
 DEFAULT_ALPHA = 0.01
 NO_CORRECTION = "none"
@@ -318,25 +318,14 @@ class Partition:
         }
 
 
-def _window_design(y: np.ndarray, channels, q: int) -> np.ndarray:
-    """Lags 0..q of the given channels plus an intercept column, so constant
-    offsets never masquerade as unexplained structure."""
-    T = y.shape[0]
-    X = np.empty((T - q, len(channels) * (q + 1) + 1))
-    for a, j in enumerate(channels):
-        for k in range(q + 1):
-            X[:, a * (q + 1) + k] = y[q - k : T - k, j]
-    X[:, -1] = 1.0
-    return X
-
-
 def _residual_ratios(y: np.ndarray, selected, candidates, q: int):
     """Residual variance of each candidate's time-t value regressed on lags
-    0..q of the selected channels, as (ratio to own variance, residual var)."""
+    0..q of the selected channels and an intercept (so constant offsets never
+    pass for structure), as (ratio to own variance, residual var)."""
     targets = y[q:, candidates]
     own_var = targets.var(axis=0)
     if selected:
-        X = _window_design(y, selected, q)
+        X = lagged_design(y[:, selected], range(q + 1), intercept=True)
         beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
         resid = targets - X @ beta
         resid_var = np.mean(resid**2, axis=0)
@@ -355,12 +344,7 @@ def _one_step_residual_rank(y: np.ndarray, q: int, rank_tol: float):
     innovations: determined channels' residuals are exact lag-0 mixtures of
     the full-rank block's. Returns (rank, relative eigenvalues, descending).
     """
-    T, n = y.shape
-    X = np.empty((T - q, n * q + 1))
-    for j in range(n):
-        for k in range(1, q + 1):
-            X[:, j * q + k - 1] = y[q - k : T - k, j]
-    X[:, -1] = 1.0
+    X = lagged_design(y, range(1, q + 1), intercept=True)
     targets = y[q:]
     beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
     resid = targets - X @ beta

@@ -5,11 +5,13 @@ maps the full-rank channels (past and present) onto the deterministic
 channels. The full-rank-block filter projects each full-rank channel onto
 its own strict past joined with the other channels' past, which forces a
 zero diagonal at lag 0 by construction of the regression design.
+
+Both estimates regress on one lagged window of the full-rank block, and
+:func:`estimate_filters` reads both off one SVD of that design.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +104,7 @@ class FilterEstimate:
     channel's lags 0..order, which is all the group tests need. In the
     full-rank block a row's own lag 0 is not a regressor: its group is lags
     1..order, the block's trailing order x order corner. All blocks come from
-    one factorization of the shared lagged design (see :func:`estimate_s`),
+    one factorization of the shared lagged design (see :func:`estimate_filters`),
     and :func:`lrdnet.topology.edge_test_table` tests every group at once as
     batched array operations.
     """
@@ -125,40 +127,9 @@ class FilterEstimate:
     def num_used_samples(self) -> int:
         return self.residuals.shape[0]
 
-    @property
-    def regressor_groups(self) -> dict:
-        """(row, source) -> column indices of the source's lags inside the
-        row's design matrix (0-based channels)."""
-        return {pair: self.group_columns(*pair) for pair in _pairs(self.num_rows, self.l)}
-
-    @property
-    def gram_inv_blocks(self) -> "_GramBlocks":
-        """(row, source) -> that group's Gram-inverse block, a writable view."""
-        return _GramBlocks(self)
-
     def residual_variances(self) -> np.ndarray:
         dof = self.num_used_samples - self.n_regressors
         return self.rss_full / np.maximum(dof, 1)
-
-    def group_coefficients(self, row: int, source: int) -> np.ndarray:
-        """Estimated coefficients of one regressor group, ordered by lag."""
-        lags = self.group_lags(row, source)
-        return self.coeffs.coeffs[lags, row, source]
-
-    def group_lags(self, row: int, source: int) -> np.ndarray:
-        return np.arange(self.first_lag(row, source), self.order + 1)
-
-    def first_lag(self, row: int, source: int) -> int:
-        """1 for a full-rank row's own group (no lag-0 regressor), else 0."""
-        if not (0 <= row < self.num_rows and 0 <= source < self.l):
-            raise KeyError(f"no regressor group for row {row}, source {source}")
-        return int(self.target_block == L_BLOCK and row == source)
-
-    def group_columns(self, row: int, source: int) -> np.ndarray:
-        cols = source * (self.order + 1) + self.group_lags(row, source)
-        if self.target_block == L_BLOCK:
-            cols = cols - (cols > row * (self.order + 1))  # own lag-0 column is dropped
-        return cols
 
     def to_dict(self) -> dict:
         return {
@@ -172,40 +143,17 @@ class FilterEstimate:
         }
 
 
-def _pairs(rows: int, l: int):
-    return ((row, source) for row in range(rows) for source in range(l))
-
-
-class _GramBlocks(Mapping):
-    """(row, source) -> Gram-inverse block of that regressor group, as a view
-    into ``FilterEstimate.gram_blocks``; assigning to a key writes through."""
-
-    def __init__(self, est: FilterEstimate):
-        self._est = est
-
-    def __getitem__(self, key):
-        first = self._est.first_lag(*key)
-        return self._est.gram_blocks[key][first:, first:]
-
-    def __setitem__(self, key, block) -> None:
-        self[key][...] = block
-
-    def __iter__(self):
-        return _pairs(self._est.num_rows, self._est.l)
-
-    def __len__(self) -> int:
-        return self._est.num_rows * self._est.l
-
-
-def _lagged_design(y_l: np.ndarray, order: int) -> np.ndarray:
-    """Design with one column per (channel, lag): column j*(order+1)+k holds
-    y_l[t-k, j] for t = order..T-1."""
-    T, l = y_l.shape
-    rows = T - order
-    X = np.empty((rows, l * (order + 1)))
-    for j in range(l):
-        for k in range(order + 1):
-            X[:, j * (order + 1) + k] = y_l[order - k : T - k, j]
+def lagged_design(y: np.ndarray, lags: range, intercept: bool = False) -> np.ndarray:
+    """Design with one column per (channel, lag): column j*len(lags)+a holds
+    y[t - lags[a], j] for t = lags[-1]..T-1, then a column of ones if
+    ``intercept``. Pass y[:, channels] to build it over a channel subset."""
+    T, n = y.shape
+    width, last = len(lags), lags[-1]
+    X = np.empty((T - last, n * width + intercept))
+    for a, k in enumerate(lags):
+        X[:, a : n * width : width] = y[last - k : T - k]
+    if intercept:
+        X[:, -1] = 1.0
     return X
 
 
@@ -229,92 +177,66 @@ def _factor(X: np.ndarray, ridge: float, cond_bound: float):
     return u, s, vt, s**2 + ridge
 
 
-def _diagonal_blocks(gram_inv: np.ndarray, l: int, order: int) -> np.ndarray:
-    """(l, order+1, order+1) diagonal blocks of a Gram inverse over the lagged design."""
-    g = order + 1
-    chans = np.arange(l)
-    return gram_inv.reshape(l, g, l, g)[chans, :, chans, :]
-
-
-def _check_sample_budget(T: int, order: int, n_cols: int) -> None:
-    if T - order < n_cols + 2:
-        raise InsufficientData(
-            f"{T} samples cannot support order {order} with {n_cols} regressors"
-        )
-
-
-def estimate_h(
+def estimate_filters(
     data: TimeSeries,
     order: int = 8,
     ridge: float = 0.0,
     cond_bound: float = DEFAULT_COND_BOUND,
-) -> FilterEstimate:
-    """Fit the deterministic block on lags 0..order of the full-rank block.
+) -> tuple[FilterEstimate | None, FilterEstimate]:
+    """Fit both blocks' filters from one SVD of one lagged design X, lags
+    0..order of the full-rank block; returns (h_est, s_est), with h_est None
+    when the data has no deterministic block.
 
-    Plain least squares row by row (all rows share one design); the optional
-    ridge is off by default. Lag 0 is included because the relation is causal
-    but not strictly causal.
-    """
-    if data.m < 1:
-        raise ValueError("data has no deterministic block to fit")
-    p = order
-    l = data.l
-    n_cols = l * (p + 1)
-    _check_sample_budget(data.num_samples, p, n_cols)
-    X = _lagged_design(data.y_l, p)
-    Y = data.y_m[p:]
-    u, s, vt, denom = _factor(X, ridge, cond_bound)
-    beta = vt.T @ ((s / denom)[:, np.newaxis] * (u.T @ Y))
-    resid = Y - X @ beta
-    gram_inv = (vt.T / denom) @ vt
-    blocks = _diagonal_blocks(gram_inv, l, p)
-    return FilterEstimate(
-        target_block=M_BLOCK,
-        order=p,
-        m=data.m,
-        l=l,
-        coeffs=PolynomialMatrix(beta.T.reshape(data.m, l, p + 1).transpose(2, 0, 1)),
-        residuals=resid,
-        rss_full=np.sum(resid**2, axis=0),
-        gram_blocks=np.repeat(blocks[np.newaxis], data.m, axis=0),
-        n_regressors=np.full(data.m, n_cols),
-    )
-
-
-def estimate_s(
-    data: TimeSeries,
-    order: int = 8,
-    ridge: float = 0.0,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> FilterEstimate:
-    """Fit each full-rank channel on its own strict past and the others' past.
-
-    Row i regresses y_l[i](t) on its own lags 1..order and every other
-    channel's lags 0..order; excluding the own lag-0 column makes the zero
-    diagonal at infinity structural rather than statistical. Row i's residual
-    estimates d_i e_i(t).
-
-    Row i's target is column c = i*(order+1) of the shared design X, so all
-    rows are read off one precision matrix P = (X'X + ridge I)^-1 built from
-    a single SVD of X (the covariance-selection identity, Dempster 1972):
-    row i's coefficients are -P[c, :] / P[c, c] and its restricted Gram
-    inverse is the rank-one downdate P - P[:, c] P[c, :] / P[c, c]. Both
-    hold for ridge > 0 too (X augmented with sqrt(ridge) I), but 1 / P[c, c]
-    is the RSS only at ridge = 0, so residuals and RSS come from Y - X B'.
-    The condition-number guard applies to the full X, which is at least as
-    strict as guarding each row's design (singular values interlace).
+    h is plain least squares of y_m on X, row by row (the optional ridge is
+    off by default); lag 0 is included because the relation is causal but
+    not strictly causal. s regresses row i, y_l[i](t), on its own lags
+    1..order and every other channel's lags 0..order; excluding the own
+    lag-0 column makes the zero diagonal at infinity structural rather than
+    statistical, and row i's residual estimates d_i e_i(t). Row i's target is
+    column c = i*(order+1) of X, so all rows are read off h's Gram inverse,
+    the precision matrix P = (X'X + ridge I)^-1 (the covariance-selection
+    identity, Dempster 1972): row i's coefficients are -P[c, :] / P[c, c]
+    and its restricted Gram inverse is the rank-one downdate
+    P - P[:, c] P[c, :] / P[c, c]. Both hold for ridge > 0 too (X augmented
+    with sqrt(ridge) I), but 1 / P[c, c] is the RSS only at ridge = 0, so
+    residuals and RSS come from Y - X B'. The condition-number guard applies
+    to the full X, which is at least as strict as guarding each row's design
+    (singular values interlace). The sample budget is checked once, for h's
+    l*(order+1) regressors, or for s's one fewer when there is no h.
     """
     p = order
     l = data.l
     g = p + 1
-    n_cols_full = l * g
-    _check_sample_budget(data.num_samples, p, n_cols_full - 1)
-    X = _lagged_design(data.y_l, p)
-    Y = data.y_l[p:]
-    _, _, vt, denom = _factor(X, ridge, cond_bound)
+    n_cols = l * g
+    n_fit = n_cols if data.m >= 1 else n_cols - 1
+    if data.num_samples - p < n_fit + 2:
+        raise InsufficientData(
+            f"{data.num_samples} samples cannot support order {p} with {n_fit} regressors"
+        )
+    X = lagged_design(data.y_l, range(g))
+    u, s, vt, denom = _factor(X, ridge, cond_bound)
     P = (vt.T / denom) @ vt
-
     rows = np.arange(l)
+    diagonal_blocks = P.reshape(l, g, l, g)[rows, :, rows, :]  # each channel's lags 0..order
+
+    h_est = None
+    if data.m >= 1:
+        Y = data.y_m[p:]
+        beta = vt.T @ ((s / denom)[:, np.newaxis] * (u.T @ Y))
+        resid = Y - X @ beta
+        h_est = FilterEstimate(
+            target_block=M_BLOCK,
+            order=p,
+            m=data.m,
+            l=l,
+            coeffs=PolynomialMatrix(beta.T.reshape(data.m, l, g).transpose(2, 0, 1)),
+            residuals=resid,
+            rss_full=np.sum(resid**2, axis=0),
+            gram_blocks=np.repeat(diagonal_blocks[np.newaxis], data.m, axis=0),
+            n_regressors=np.full(data.m, n_cols),
+        )
+
+    Y = data.y_l[p:]
     own = rows * g  # each row's own lag-0 column
     p_own = P[own, :]
     pivot = p_own[rows, own]
@@ -324,8 +246,7 @@ def estimate_s(
 
     cross = p_own.reshape(l, l, g)  # cross[i, j] = P[c_i, lags of channel j]
     downdate = np.einsum("ija,ijb->ijab", cross, cross) / pivot.reshape(l, 1, 1, 1)
-    blocks = _diagonal_blocks(P, l, p) - downdate
-    return FilterEstimate(
+    s_est = FilterEstimate(
         target_block=L_BLOCK,
         order=p,
         m=data.m,
@@ -333,6 +254,29 @@ def estimate_s(
         coeffs=PolynomialMatrix(beta.reshape(l, l, g).transpose(2, 0, 1)),
         residuals=residuals,
         rss_full=np.sum(residuals**2, axis=0),
-        gram_blocks=blocks,
-        n_regressors=np.full(l, n_cols_full - 1),
+        gram_blocks=diagonal_blocks - downdate,
+        n_regressors=np.full(l, n_cols - 1),
     )
+    return h_est, s_est
+
+
+def estimate_h(
+    data: TimeSeries,
+    order: int = 8,
+    ridge: float = 0.0,
+    cond_bound: float = DEFAULT_COND_BOUND,
+) -> FilterEstimate:
+    """The deterministic-block filter of :func:`estimate_filters`."""
+    if data.m < 1:
+        raise ValueError("data has no deterministic block to fit")
+    return estimate_filters(data, order, ridge, cond_bound)[0]
+
+
+def estimate_s(
+    data: TimeSeries,
+    order: int = 8,
+    ridge: float = 0.0,
+    cond_bound: float = DEFAULT_COND_BOUND,
+) -> FilterEstimate:
+    """The full-rank-block filter of :func:`estimate_filters`."""
+    return estimate_filters(data, order, ridge, cond_bound)[1]

@@ -14,8 +14,8 @@ from lrdnet.cli import default_experiment_config, run_experiment
 from lrdnet.model import GeneratorConfig, random_model, reduced_form
 from lrdnet.sim import simulate
 from lrdnet.spectral import h_closed_form, spectrum_of_model, uniform_thetas
-from lrdnet.topology import _window_design, inverse_factor_support_check, partition_select
-from lrdnet.wiener import estimate_h, estimate_s, exact_filters, exact_s_via_factor
+from lrdnet.topology import inverse_factor_support_check, partition_select
+from lrdnet.wiener import estimate_h, estimate_s, exact_filters, exact_s_via_factor, lagged_design
 
 
 def _report(num, name, passed, detail=""):
@@ -258,7 +258,7 @@ def test_criterion_10_partition_recovery():
             continue
         sel = [i - 1 for i in part.l_indices]
         rest = [i - 1 for i in part.m_indices]
-        X = _window_design(ts.data, sel, 8)
+        X = lagged_design(ts.data[:, sel], range(9), intercept=True)
         targets = ts.data[8:, rest]
         beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
         rms = float(np.sqrt(np.mean((targets - X @ beta) ** 2)))

@@ -1,6 +1,7 @@
 """Command-line pipeline: file round trips, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +37,17 @@ def write_config(tmp_path, **overrides):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def write_data_csv(path, y):
+    rows = ["t," + ",".join(f"y{j + 1}" for j in range(y.shape[1]))]
+    rows += [f"{t + 1}," + ",".join(repr(float(v)) for v in y[t]) for t in range(y.shape[0])]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run_cli(*args):
@@ -84,6 +96,17 @@ class TestConfig:
             ({"generator": {"m": 0}}, "dimensions must be positive"),
             ({"generator": {"bogus": 1}}, "bogus"),
             ({"generator": {"support_l": 99}}, "requested 99 edges"),
+            ({"decision": {"alpha": "x"}}, "decision.alpha"),
+            ({"decision": {"alpha": 2}}, "decision.alpha"),
+            ({"decision": {"alpha": 0}}, "decision.alpha"),
+            ({"decision": {"zero_tol": "x"}}, "decision.zero_tol"),
+            ({"decision": {"zero_tol": -1}}, "decision.zero_tol"),
+            ({"decision": {"zero_tol": float("nan")}}, "decision.zero_tol"),
+            ({"partition": {"rank_tol": "x"}}, "partition.rank_tol"),
+            ({"partition": {"rank_tol": 1}}, "partition.rank_tol"),
+            ({"partition": {"max_lag": "x"}}, "partition.max_lag"),
+            ({"partition": {"max_lag": -1}}, "partition.max_lag"),
+            ({"partition": {"max_lag": 2.5}}, "partition.max_lag"),
         ],
     )
     def test_malformed_config_is_one_line_error(self, tmp_path, override, message):
@@ -211,6 +234,30 @@ class TestPipeline:
         (line,) = proc.stderr.strip().splitlines()
         assert str(data) in line and "line 1202" in line and bad in line
 
+    def test_overflowing_csv_is_clean_numerical_error(self, tmp_path):
+        # finite values whose products overflow must stop the fits with one
+        # line, not reach LAPACK as inf and nan
+        y = np.random.default_rng(0).standard_normal((1000, 6)) * 1e300
+        data = write_data_csv(tmp_path / "huge.csv", y)
+        proc = run_cli("estimate", "--data", data, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("numerical failure:")
+
+    def test_order_too_high_for_both_fits_reports_the_larger_budget(self, tmp_path, capsys):
+        # both filters come from one design, so the sample budget is checked
+        # once, for the deterministic-block fit's l*(p+1) = 2*701 regressors
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((2001, 2))
+        y = np.column_stack([e[1:, 0], e[1:, 1], e[:-1, 0] + 0.5 * e[1:, 1]])
+        data = write_data_csv(tmp_path / "data.csv", y)
+        cfg_path = write_config(tmp_path, partition={"max_lag": 2}, estimation={"order_p": 700})
+        assert main(["estimate", "--config", cfg_path, "--data", data, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: InsufficientData: 2000 samples cannot support order 700 with 1402 regressors\n"
+        )
+
     def test_unknown_argument_is_config_error(self, tmp_path):
         assert main(["generate", "--nonsense"]) == 1
 
@@ -230,6 +277,59 @@ class TestPipeline:
         assert part["l_indices"] == [1, 2, 3]
         decided = read_json(out / "decided_graph.json")["graph"]
         assert len(decided["edges"]) <= 1  # null edges at Bonferroni-corrected alpha
+
+
+UNLABELED24 = {
+    "generator": {"m": 16, "l": 8, "support_ml": 36, "support_l": 12},
+    "sim": {"num_samples": 1000},
+    "partition": {"max_lag": 3},
+}
+
+
+class TestPinnedOutputs:
+    # digests taken before both filters were read off one lagged design and
+    # one SVD; only roundoff-robust outputs (decisions, partitions, counts)
+    # are pinned, so another BLAS build gives the same bytes
+
+    def blind_pipeline(self, tmp_path, seed):
+        cfg_path = write_config(tmp_path, **UNLABELED24)
+        out = str(tmp_path / "o")
+        assert main(["generate", "--config", cfg_path, "--seed", str(seed), "--out-dir", out]) == 0
+        assert main(["simulate", "--config", cfg_path, "--model", f"{out}/model.json",
+                     "--seed", str(seed + 100), "--out-dir", out]) == 0
+        return main(["estimate", "--config", cfg_path, "--data", f"{out}/data.csv", "--out-dir", out])
+
+    def test_blind_estimate_is_pinned(self, tmp_path):
+        assert self.blind_pipeline(tmp_path, 3) == 0
+        out = tmp_path / "o"
+        assert read_json(out / "partition.json")["partition"]["l_indices"] == [9, 12, 17, 20, 21, 22, 23, 24]
+        assert {name: sha256(out / name) for name in ("decided_graph.json", "decided_graph.dot", "decided_graph.csv")} == {
+            "decided_graph.json": "78c550c936f8586cc0c86cb529aa930ce4a0f2561d72dc7ac43f5f9fe1192e3d",
+            "decided_graph.dot": "e18ccaa06eaa69544e51157244696add9166ccff0e2fc18f41e3800ff69722e8",
+            "decided_graph.csv": "bc820f55e222a720400029c67bf06e2ce5ee6e3a4d2ad8eb5b5384e40b603619",
+        }
+
+    def test_blind_estimate_refusal_is_pinned(self, tmp_path, capsys):
+        assert self.blind_pipeline(tmp_path, 0) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: AmbiguousRank: no size-8 channel subset found whose lag window "
+            "explains the rest (best attempt leaves ratio 7.085e-02 >= 1.0e-04)\n"
+        )
+
+    def test_wide_run_experiment_is_pinned(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path,
+            generator={"m": 48, "l": 24, "support_ml": 108, "support_l": 36},
+            sim={"num_samples": 4000},
+            fixed_model=True,
+            trials=2,
+        )
+        out = tmp_path / "o"
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(out)]) == 0
+        assert {name: sha256(out / name) for name in ("aggregate.json", "trials.csv")} == {
+            "aggregate.json": "9cb8bbbb8757840f74b5cab1c5a13cdc926078f5a1398f458d627e23553648d9",
+            "trials.csv": "b6f94ebc2d5359a6b507b3d4ef14a0e90927373f4b53162b13fd7dce7ab17ea7",
+        }
 
 
 class TestRunExperiment:

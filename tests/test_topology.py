@@ -21,7 +21,7 @@ from lrdnet.topology import (
     support_graph,
     write_edge_tests_csv,
 )
-from lrdnet.wiener import M_BLOCK, estimate_h, estimate_s, exact_filters
+from lrdnet.wiener import L_BLOCK, M_BLOCK, estimate_h, estimate_s, exact_filters, lagged_design
 from test_sim import white_model
 
 
@@ -100,13 +100,11 @@ class TestEdgeTest:
         # ((RSS_r - RSS_f)/g) / (RSS_f/dof) statistic from scratch
         from scipy import stats as sps
 
-        from lrdnet.wiener import _lagged_design
-
         model = random_model(small_config(seed=4))
         ts = simulate(model, num_samples=3000, seed=55)
         p = 3
         est = estimate_s(ts, order=p)
-        X_full = _lagged_design(ts.y_l, p)
+        X_full = lagged_design(ts.y_l, range(p + 1))
         Y = ts.y_l[p:]
         for i in range(ts.l):
             drop = i * (p + 1)
@@ -116,7 +114,10 @@ class TestEdgeTest:
             rss_f = float(np.sum((Y[:, i] - X @ bf) ** 2))
             for j in range(ts.l):
                 res = edge_test(est, target=ts.m + i + 1, source=ts.m + j + 1, alpha=0.05)
-                gidx = est.regressor_groups[(i, j)]
+                # source j's lags in X: the own group starts at lag 1, and
+                # columns past the dropped one shift left by one
+                lags = np.arange(j * (p + 1) + (i == j), (j + 1) * (p + 1))
+                gidx = lags - (lags > drop)
                 Xr = X[:, np.delete(np.arange(X.shape[1]), gidx)]
                 br, *_ = np.linalg.lstsq(Xr, Y[:, i], rcond=None)
                 rss_r = float(np.sum((Y[:, i] - Xr @ br) ** 2))
@@ -130,7 +131,7 @@ class TestEdgeTest:
         model = random_model(small_config(seed=2))
         ts = simulate(model, num_samples=1000, seed=34)
         s_est = estimate_s(ts, order=2)
-        s_est.gram_inv_blocks[(0, 1)] = np.zeros_like(s_est.gram_inv_blocks[(0, 1)])
+        s_est.gram_blocks[0, 1] = 0.0
         with pytest.raises(DegenerateRestriction):
             edge_test(s_est, target=model.m + 1, source=model.m + 2, alpha=0.01)
 
@@ -158,7 +159,8 @@ def reference_edge_test(est, target, source, alpha):
     m = est.m
     row = target - 1 if est.target_block == M_BLOCK else target - m - 1
     chan = source - m - 1
-    beta = est.group_coefficients(row, chan)
+    first = int(est.target_block == L_BLOCK and row == chan)  # an own group is lags 1..order
+    beta = est.coeffs.coeffs[first:, row, chan]
     norm = float(np.linalg.norm(beta))
     dof = est.num_used_samples - int(est.n_regressors[row])
     rss = float(est.rss_full[row])
@@ -166,7 +168,7 @@ def reference_edge_test(est, target, source, alpha):
         decision = norm > 1e-6
         return EdgeTestResult(source, target, np.inf if decision else 0.0,
                               0.0 if decision else 1.0, norm, decision)
-    block = est.gram_inv_blocks[(row, chan)]
+    block = est.gram_blocks[row, chan, first:, first:]
     cond = np.linalg.cond(block)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateRestriction(
@@ -236,7 +238,8 @@ class TestBatchedEdgeTable:
         h_est, s_est = fit_both(TimeSeries(data=data, m=m, l=model.l), order=2)
 
         def zero(est, key):
-            est.gram_inv_blocks[key] = np.zeros_like(est.gram_inv_blocks[key])
+            first = int(est is s_est and key[0] == key[1])  # an own group is lags 1..order
+            est.gram_blocks[key][first:, first:] = 0.0
 
         # the loop over (source, target) meets the full-rank pair (m+1 <- m+2)
         # before the deterministic-row pair (1 <- m+3) and the own group m+2
@@ -397,8 +400,6 @@ class TestPartitionSelect:
         assert 3 in part.l_indices
 
     def test_benchmark_shape_recovery(self):
-        from lrdnet.topology import _window_design
-
         for trial in range(6):
             model = random_model(twelve_node_config(seed=3000 + trial))
             ts = simulate(model, num_samples=2000, seed=4000 + trial)
@@ -406,7 +407,7 @@ class TestPartitionSelect:
             assert len(part.l_indices) == 4
             sel = [i - 1 for i in part.l_indices]
             rest = [i - 1 for i in part.m_indices]
-            X = _window_design(ts.data, sel, 8)
+            X = lagged_design(ts.data[:, sel], range(9), intercept=True)
             targets = ts.data[8:, rest]
             beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
             rms = np.sqrt(np.mean((targets - X @ beta) ** 2))

@@ -13,11 +13,12 @@ from lrdnet.sim import TimeSeries, simulate
 from lrdnet.wiener import (
     L_BLOCK,
     M_BLOCK,
-    _lagged_design,
+    estimate_filters,
     estimate_h,
     estimate_s,
     exact_filters,
     exact_s_via_factor,
+    lagged_design,
 )
 from test_model import ar1_model
 from test_sim import white_model
@@ -150,9 +151,7 @@ class TestEstimateH:
         model = random_model(small_config(seed=2))
         ts = simulate(model, num_samples=1500, seed=8)
         est = estimate_s(ts, order=4)
-        from lrdnet.wiener import _lagged_design
-
-        X_full = _lagged_design(ts.y_l, 4)
+        X_full = lagged_design(ts.y_l, range(5))
         for i in range(ts.l):
             keep = np.delete(np.arange(X_full.shape[1]), i * 5)
             X = X_full[:, keep]
@@ -269,14 +268,15 @@ def test_estimate_json_export(small_model):
 def reference_estimate_s(ts, p, ridge):
     """Row-by-row fit of the strict-past filter: one SVD of each row's own
     design (the shared lagged design without the row's lag-0 column).
-    Returns (coeffs, residuals, rss, regressor groups, Gram-inverse blocks)."""
-    X_full = _lagged_design(ts.y_l, p)
+    Returns (coeffs, residuals, rss, each row's coefficient vector, regressor
+    groups as column indices into that vector, Gram-inverse blocks)."""
+    X_full = lagged_design(ts.y_l, range(p + 1))
     Y = ts.y_l[p:]
     l = ts.l
     n_cols = l * (p + 1)
     coeffs = np.zeros((p + 1, l, l))
     residuals = np.empty((Y.shape[0], l))
-    groups, blocks = {}, {}
+    betas, groups, blocks = [], {}, {}
     for i in range(l):
         drop = i * (p + 1)
         keep = np.delete(np.arange(n_cols), drop)
@@ -288,6 +288,7 @@ def reference_estimate_s(ts, p, ridge):
         beta = vt.T @ ((s / denom) * (u.T @ Y[:, i]))
         gram_inv = (vt.T / denom) @ vt
         residuals[:, i] = Y[:, i] - X @ beta
+        betas.append(beta)
         for pos, col in enumerate(keep):
             j, k = divmod(col, p + 1)
             coeffs[k, i, j] = beta[pos]
@@ -299,7 +300,7 @@ def reference_estimate_s(ts, p, ridge):
                 idx = idx - (idx > drop)
             groups[(i, j)] = idx
             blocks[(i, j)] = gram_inv[np.ix_(idx, idx)]
-    return coeffs, residuals, np.sum(residuals**2, axis=0), groups, blocks
+    return coeffs, residuals, np.sum(residuals**2, axis=0), betas, groups, blocks
 
 
 def correlated_series(seed, l, T=400):
@@ -331,14 +332,15 @@ class TestOneFactorization:
     def test_matches_row_by_row_fits(self, l, p, ridge, seed):
         ts = correlated_series(seed, l)
         est = estimate_s(ts, order=p, ridge=ridge)
-        coeffs, residuals, rss, groups, blocks = reference_estimate_s(ts, p, ridge)
+        coeffs, residuals, rss, betas, groups, blocks = reference_estimate_s(ts, p, ridge)
         assert_rel_close(est.coeffs.coeffs, coeffs)
         assert_rel_close(est.residuals, residuals)
         assert_rel_close(est.rss_full, rss)
         assert (est.coeffs.coeff(0).diagonal() == 0.0).all()
-        for key, block in blocks.items():
-            assert np.array_equal(est.regressor_groups[key], groups[key])
-            assert_rel_close(est.gram_inv_blocks[key], block)
+        for (i, j), block in blocks.items():
+            first = int(i == j)  # an own group is lags 1..p
+            assert_rel_close(est.coeffs.coeffs[first:, i, j], betas[i][groups[(i, j)]])
+            assert_rel_close(est.gram_blocks[i, j, first:, first:], block)
 
     def test_duplicate_channel_still_rank_deficient(self):
         rng = np.random.default_rng(0)
@@ -359,3 +361,76 @@ class TestOneFactorization:
         for fit in (estimate_h, estimate_s):
             with pytest.raises(ValueError, match="ridge"):
                 fit(ts, order=2, ridge=-1.0)
+
+
+def reference_design(y, channels, lags, intercept):
+    """The lagged design as a per-(channel, lag) double loop."""
+    T = y.shape[0]
+    width, last = len(lags), lags[-1]
+    X = np.empty((T - last, len(channels) * width + intercept))
+    for a, j in enumerate(channels):
+        for b, k in enumerate(lags):
+            X[:, a * width + b] = y[last - k : T - k, j]
+    if intercept:
+        X[:, -1] = 1.0
+    return X
+
+
+class TestLaggedDesign:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        first=st.integers(0, 1),
+        last=st.integers(1, 8),
+        intercept=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_double_loop(self, n, first, last, intercept, seed, data):
+        channels = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        y = np.random.default_rng(seed).standard_normal((25, n))
+        lags = range(first, last + 1)
+        X = lagged_design(y[:, channels], lags, intercept)
+        assert X.flags.c_contiguous
+        assert np.array_equal(X, reference_design(y, channels, lags, intercept))
+
+
+def assert_same_estimate(got, want):
+    for field in ("coeffs", "residuals", "rss_full", "gram_blocks", "n_regressors"):
+        a, b = getattr(got, field), getattr(want, field)
+        a, b = (a.coeffs, b.coeffs) if field == "coeffs" else (a, b)
+        assert np.array_equal(a, b), field
+
+
+class TestEstimateFilters:
+    def test_one_svd_feeds_both_filters(self, monkeypatch):
+        ts = simulate(random_model(small_config(seed=2)), num_samples=500, seed=8)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        h_est, s_est = estimate_filters(ts, order=3)
+        assert len(calls) == 1
+        assert (h_est.target_block, s_est.target_block) == (M_BLOCK, L_BLOCK)
+        assert_same_estimate(h_est, estimate_h(ts, order=3))
+        assert_same_estimate(s_est, estimate_s(ts, order=3))
+
+    def test_no_deterministic_block_gives_no_h(self):
+        ts = correlated_series(4, 3)
+        h_est, s_est = estimate_filters(ts, order=2, ridge=0.5)
+        assert h_est is None
+        assert_same_estimate(s_est, estimate_s(ts, order=2, ridge=0.5))
+        with pytest.raises(ValueError, match="no deterministic block"):
+            estimate_h(ts, order=2)
+
+    def test_one_sample_budget_for_both_fits(self):
+        # with a deterministic block the one budget is h's l*(p+1) = 6
+        # regressors at p = 2, so s refuses at T - p = 7; without one, s's
+        # own 5 regressors fit there
+        y = np.random.default_rng(5).standard_normal((10, 3))
+        for fit in (estimate_h, estimate_s):
+            with pytest.raises(InsufficientData, match="9 samples cannot support order 2 with 6 regressors"):
+                fit(TimeSeries(data=y[:9], m=1, l=2), order=2)
+            assert fit(TimeSeries(data=y, m=1, l=2), order=2).num_used_samples == 8
+        assert estimate_s(TimeSeries(data=y[:9, 1:], m=0, l=2), order=2).num_used_samples == 7
+        with pytest.raises(InsufficientData, match="with 5 regressors"):
+            estimate_s(TimeSeries(data=y[:8, 1:], m=0, l=2), order=2)
