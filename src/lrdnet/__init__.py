@@ -51,6 +51,7 @@ from .topology import (
     compare_graphs,
     inverse_factor_support_check,
     decide_graph,
+    decide_graphs,
     edge_test,
     edge_test_table,
     partition_select,

@@ -5,6 +5,13 @@ Edges are decided per the two-branch rule: a deterministic-block target uses
 the causal filter onto the full-rank block, a full-rank target uses the
 strict-past projection filter. Decisions are directional by construction and
 no symmetrization is ever applied.
+
+Every group test goes through one batched kernel that stacks the pairs of
+any number of estimates: :func:`edge_test` sends it one pair,
+:func:`edge_test_table` one (h_est, s_est) and :func:`decide_graphs` many, as
+the Monte-Carlo loop of ``run-experiment`` does. Per pair its arithmetic is
+that of a batch of one, so batching changes no statistic, p-value or
+decision.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData
+from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData, LrdnError
 from .model import DirectedGraph, LrdnModel, graph_from_supports, reduced_form
 from .polymat import DEFAULT_COND_BOUND, DEFAULT_HORIZON, DEFAULT_ZERO_TOL, truncated_inverse
 from .sim import TimeSeries
@@ -48,32 +55,66 @@ class EdgeTestResult:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _group_tests(
-    est: FilterEstimate,
-    rows: np.ndarray,
-    chans: np.ndarray,
-    alpha: float,
-    norm_threshold: float,
-    resid_tol: float,
-):
-    """Group tests for the pairs (rows[k], chans[k]) of one estimate (0-based
-    row and source channel), as batched array operations per group size.
+def _group_tests(batch, norm_threshold: float, resid_tol: float):
+    """Group tests for several estimates in one batch.
 
-    Returns the EdgeTestResult fields as arrays, in field order, and the
-    first pair (in the given order) that cannot be tested as
-    (source, target, exception), or None.
+    Each entry of ``batch`` is (est, rows, chans, alpha): the pairs
+    (rows[k], chans[k]) of one estimate (0-based row and source channel) and
+    the level they are tested at. The pairs of all entries are stacked, each
+    group size gets one condition number, solve and quadratic form over the
+    stack, and one F tail call covers every pair; per pair the arithmetic is
+    that of a batch of one.
+
+    Returns, per entry, the EdgeTestResult fields as arrays, in field order,
+    and the first pair of that entry (in the given order) that cannot be
+    tested as (source, target, exception), or None.
     """
-    T_eff = est.num_used_samples
-    offset = est.m if est.target_block == L_BLOCK else 0
-    sources = est.m + chans + 1
-    targets = offset + rows + 1
-    k_row = est.n_regressors[rows]
+    if not batch:
+        return []
+    ests = [entry[0] for entry in batch]
+    counts = [entry[1].size for entry in batch]
+    ends = np.cumsum(counts)
+    rows = np.concatenate([entry[1] for entry in batch])
+    chans = np.concatenate([entry[2] for entry in batch])
+    alpha = np.repeat([entry[3] for entry in batch], counts)
+    full_rank = np.repeat([est.target_block == L_BLOCK for est in ests], counts)
+    T_eff = np.repeat([est.num_used_samples for est in ests], counts)
+    m = np.repeat([est.m for est in ests], counts)
+    k_row = np.concatenate([est.n_regressors[r] for est, r, *_ in batch])
+    rss = np.concatenate([est.rss_full[r] for est, r, *_ in batch])
+    sources = m + chans + 1
+    targets = np.where(full_rank, m, 0) + rows + 1
     dof = T_eff - k_row
-    rss = est.rss_full[rows]
     insufficient = dof < 1
-    noiseless = ~insufficient & (est.target_block == M_BLOCK) & (np.sqrt(rss / T_eff) <= resid_tol)
+    noiseless = ~insufficient & ~full_rank & (np.sqrt(rss / T_eff) <= resid_tol)
     tested = ~insufficient & ~noiseless
-    first = (rows == chans) & (est.target_block == L_BLOCK)  # own group starts at lag 1
+    first = (rows == chans) & full_rank  # own group starts at lag 1
+
+    # estimates of one array shape are stacked, so one fancy index gathers
+    # their pairs' coefficients and Gram-inverse blocks; pairs are then
+    # grouped by group size: indices, coefficients (one row per pair) and
+    # the blocks of the tested ones among them
+    shapes: dict[tuple, int] = {}
+    kind = [shapes.setdefault(est.coeffs.coeffs.shape + est.gram_blocks.shape, len(shapes)) for est in ests]
+    pair_kind = np.repeat(kind, counts)
+    owner = np.repeat(np.arange(len(ests)), counts)
+    slot = np.empty(len(ests), dtype=int)  # each estimate's place in its stack
+    groups: dict[int, tuple[list, list, list]] = {}
+    for k in range(len(shapes)):
+        members = [e for e, of in enumerate(kind) if of == k]
+        slot[members] = np.arange(len(members))
+        coeffs = np.stack([ests[e].coeffs.coeffs for e in members])
+        gram = np.stack([ests[e].gram_blocks for e in members])
+        for lag0 in (0, 1):
+            sel = np.flatnonzero((pair_kind == k) & (first == lag0))
+            if sel.size == 0:
+                continue
+            beta = coeffs[slot[owner[sel]], lag0:, rows[sel], chans[sel]]
+            idx, betas, blocks = groups.setdefault(beta.shape[1], ([], [], []))
+            idx.append(sel)
+            betas.append(beta)
+            sel = sel[tested[sel]]
+            blocks.append(gram[slot[owner[sel]], rows[sel], chans[sel], lag0:, lag0:])
 
     n = rows.size
     coeff_norm = np.empty(n)
@@ -81,21 +122,19 @@ def _group_tests(
     cond = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
     rss_increase = np.zeros(n)
-    for lag0 in (0, 1):
-        sel = np.flatnonzero(first == lag0)
-        if sel.size == 0:
+    for size, (idx, betas, blocks) in groups.items():
+        idx, beta = np.concatenate(idx), np.concatenate(betas)
+        coeff_norm[idx] = np.linalg.norm(beta, axis=1)
+        group_size[idx] = size
+        pick = tested[idx]
+        if not pick.any():
             continue
-        beta = est.coeffs.coeffs[lag0:, rows[sel], chans[sel]].T
-        coeff_norm[sel] = np.linalg.norm(beta, axis=1)
-        group_size[sel] = beta.shape[1]
-        pick = tested[sel]
-        sel, beta = sel[pick], beta[pick]
-        blocks = est.gram_blocks[rows[sel], chans[sel], lag0:, lag0:]
-        cond[sel] = np.linalg.cond(blocks)
-        ok = np.isfinite(cond[sel]) & (cond[sel] <= DEFAULT_COND_BOUND)
-        degenerate[sel] = ~ok
+        idx, beta, blocks = idx[pick], beta[pick], np.concatenate(blocks)
+        cond[idx] = np.linalg.cond(blocks)
+        ok = np.isfinite(cond[idx]) & (cond[idx] <= DEFAULT_COND_BOUND)
+        degenerate[idx] = ~ok
         solved = np.linalg.solve(blocks[ok], beta[ok, :, np.newaxis])[..., 0]
-        rss_increase[sel[ok]] = np.einsum("kg,kg->k", beta[ok], solved)
+        rss_increase[idx[ok]] = np.einsum("kg,kg->k", beta[ok], solved)
 
     good = tested & ~degenerate
     statistic = np.zeros(n)
@@ -108,19 +147,24 @@ def _group_tests(
     statistic[noiseless & decision] = np.inf
     p_value[noiseless & decision] = 0.0
 
-    failure = None
+    columns = (sources, targets, statistic, p_value, coeff_norm, decision)
     bad = np.flatnonzero(insufficient | degenerate)
-    if bad.size:
-        k = bad[0]
+    failures = {}  # entry -> its first pair that cannot be tested
+    for e, k in zip(owner[bad].tolist(), bad.tolist()):
+        if e in failures:
+            continue
         if insufficient[k]:
-            exc = InsufficientData(f"no residual degrees of freedom (T'={T_eff}, k={k_row[k]})")
+            exc = InsufficientData(f"no residual degrees of freedom (T'={T_eff[k]}, k={k_row[k]})")
         else:
             exc = DegenerateRestriction(
                 f"group ({targets[k]}, {sources[k]}) Gram-inverse block is singular "
                 f"(cond {cond[k]:.3e})"
             )
-        failure = (sources[k], targets[k], exc)
-    return (sources, targets, statistic, p_value, coeff_norm, decision), failure
+        failures[e] = (sources[k], targets[k], exc)
+    return [
+        (tuple(c[stop - count : stop] for c in columns), failures.get(e))
+        for e, (stop, count) in enumerate(zip(ends, counts))
+    ]
 
 
 def edge_test(
@@ -154,12 +198,52 @@ def edge_test(
         if not m + 1 <= target <= m + l:
             raise ValueError(f"target {target} outside the full-rank block")
         row = target - m - 1
-    columns, failure = _group_tests(
-        est, np.array([row]), np.array([source - m - 1]), alpha, norm_threshold, resid_tol
+    ((columns, failure),) = _group_tests(
+        [(est, np.array([row]), np.array([source - m - 1]), alpha)], norm_threshold, resid_tol
     )
     if failure is not None:
         raise failure[-1]
     return EdgeTestResult(*(c.item() for c in columns))
+
+
+def _pair_tests(pairs, alpha, correction, norm_threshold, resid_tol):
+    """Test every (target, full-rank source) pair of each (h_est, s_est) in
+    one kernel call. Bonferroni divides alpha by each pair's own number of
+    tests. Returns, per (h_est, s_est), the result columns (h's pairs, then
+    s's, each source-major) and the error of its first untestable pair in
+    (source, target) order, or None.
+    """
+    if correction not in (NO_CORRECTION, BONFERRONI):
+        raise ValueError(f"unknown correction {correction!r}")
+    batch, owner = [], []
+    for k, (h_est, s_est) in enumerate(pairs):
+        if s_est.target_block != L_BLOCK:
+            raise ValueError("s_est must be the full-rank-block estimate")
+        if h_est is None:
+            if s_est.m != 0:
+                raise ValueError("h_est is required when the data has a deterministic block")
+        else:
+            if h_est.target_block != M_BLOCK:
+                raise ValueError("h_est must be the deterministic-block estimate")
+            if (h_est.m, h_est.l) != (s_est.m, s_est.l):
+                raise ValueError("estimates disagree on the partition")
+        m, l = s_est.m, s_est.l
+        alpha_eff = alpha / ((m + l) * l) if correction == BONFERRONI else alpha
+        for est in (h_est, s_est):
+            if est is not None:
+                chans, rows = np.divmod(np.arange(est.num_rows * l), est.num_rows)
+                batch.append((est, rows, chans, alpha_eff))
+                owner.append(k)
+
+    tests = [([], []) for _ in pairs]
+    for k, (columns, failure) in zip(owner, _group_tests(batch, norm_threshold, resid_tol)):
+        tests[k][0].append(columns)
+        if failure is not None:
+            tests[k][1].append(failure)
+    return [
+        ([np.concatenate(c) for c in zip(*columns)], min(failures, key=lambda f: f[:2])[-1] if failures else None)
+        for columns, failures in tests
+    ]
 
 
 def edge_test_table(
@@ -173,43 +257,44 @@ def edge_test_table(
     """Run the edge test over every (target, source) pair with a full-rank
     source, ordered by (source, target). Bonferroni divides alpha by the
     total number of tests. h_est may be None when the data has no
-    deterministic block. Each estimate's pairs are tested in one batch; a
-    pair that cannot be tested raises for the first such pair in that order.
+    deterministic block. All pairs are tested in one batch; a pair that
+    cannot be tested raises for the first such pair in that order.
     """
-    if s_est.target_block != L_BLOCK:
-        raise ValueError("s_est must be the full-rank-block estimate")
-    if h_est is None:
-        if s_est.m != 0:
-            raise ValueError("h_est is required when the data has a deterministic block")
-    else:
-        if h_est.target_block != M_BLOCK:
-            raise ValueError("h_est must be the deterministic-block estimate")
-        if (h_est.m, h_est.l) != (s_est.m, s_est.l):
-            raise ValueError("estimates disagree on the partition")
-    if correction not in (NO_CORRECTION, BONFERRONI):
-        raise ValueError(f"unknown correction {correction!r}")
-    m, l = s_est.m, s_est.l
-    n_tests = (m + l) * l
-    alpha_eff = alpha / n_tests if correction == BONFERRONI else alpha
-
-    batches, failures = [], []
-    for est in (h_est, s_est):
-        if est is None:
-            continue
-        chans, rows = np.divmod(np.arange(est.num_rows * l), est.num_rows)
-        columns, failure = _group_tests(est, rows, chans, alpha_eff, norm_threshold, resid_tol)
-        batches.append(columns)
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[:2])[-1]
-    columns = [np.concatenate(c) for c in zip(*batches)]
+    ((columns, error),) = _pair_tests([(h_est, s_est)], alpha, correction, norm_threshold, resid_tol)
+    if error is not None:
+        raise error
     order = np.lexsort((columns[1], columns[0]))
     return [EdgeTestResult(*row) for row in zip(*(c[order].tolist() for c in columns))]
 
 
+def decide_graphs(
+    pairs,
+    alpha: float = DEFAULT_ALPHA,
+    correction: str = NO_CORRECTION,
+    norm_threshold: float = NORM_THRESHOLD,
+    resid_tol: float = DETERMINISTIC_RESID_TOL,
+) -> list[DirectedGraph | LrdnError]:
+    """Decided graphs of many (h_est, s_est) pairs, with every pair's edges
+    tested in one batch. Each slot holds the graph :func:`decide_graph` gives
+    for that pair alone, or the LrdnError it would raise, so one untestable
+    pair leaves the others alone.
+    """
+    return [
+        error if error is not None else graph_from_decisions(s_est.m, s_est.l, columns[1], columns[0], columns[5])
+        for (_, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction, norm_threshold, resid_tol))
+    ]
+
+
+def graph_from_decisions(m: int, l: int, targets, sources, decision) -> DirectedGraph:
+    """Decided graph over nodes 1..m+l: an edge source -> target for every
+    tested pair (targets[k], sources[k]) whose decision[k] is true."""
+    decision = np.asarray(decision, dtype=bool)
+    edges = zip(np.asarray(targets)[decision].tolist(), np.asarray(sources)[decision].tolist())
+    return DirectedGraph(num_nodes=m + l, m=m, edges=frozenset(edges))
+
+
 def decide_graph(
-    h_est: FilterEstimate,
+    h_est: FilterEstimate | None,
     s_est: FilterEstimate,
     alpha: float = DEFAULT_ALPHA,
     correction: str = NO_CORRECTION,
@@ -217,9 +302,10 @@ def decide_graph(
     resid_tol: float = DETERMINISTIC_RESID_TOL,
 ) -> DirectedGraph:
     """Decided directed graph over nodes 1..m+l from the two estimates."""
-    results = edge_test_table(h_est, s_est, alpha, correction, norm_threshold, resid_tol)
-    edges = frozenset((r.target, r.source) for r in results if r.decision)
-    return DirectedGraph(num_nodes=s_est.m + s_est.l, m=s_est.m, edges=edges)
+    (graph,) = decide_graphs([(h_est, s_est)], alpha, correction, norm_threshold, resid_tol)
+    if isinstance(graph, LrdnError):
+        raise graph
+    return graph
 
 
 def support_graph(

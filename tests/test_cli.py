@@ -21,7 +21,7 @@ from lrdnet.cli import (
     load_config,
     main,
 )
-from lrdnet.errors import GenerationFailed
+from lrdnet.errors import GenerationFailed, InsufficientData
 from lrdnet.model import DirectedGraph, GeneratorConfig, random_model, true_graph
 from lrdnet.sim import simulate, simulate_accepted
 from lrdnet.topology import compare_graphs, decide_graph
@@ -332,6 +332,18 @@ class TestPinnedOutputs:
         }
 
 
+# result digests of run-experiment with the default config and --seed 1
+DEFAULT_CONFIG_DIGESTS = {
+    "aggregate.json": "319e89b21fd036d9f55c3dffaf45858f5af5de1829a5b2f983ac9b6ac19d15c7",
+    "trials.csv": "b425d0f6039efdf0626d4bdceb304b243bf9458449e6b3db18bc4de5b6f446b3",
+}
+
+
+def read_rows(path):
+    with Path(path).open(newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 class TestRunExperiment:
     def test_small_run_writes_aggregate_and_rows(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, trials=3, outputs=str(tmp_path / "exp"))
@@ -371,10 +383,7 @@ class TestRunExperiment:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("aggregate.json", "trials.csv")
         }
-        assert digests == {
-            "aggregate.json": "319e89b21fd036d9f55c3dffaf45858f5af5de1829a5b2f983ac9b6ac19d15c7",
-            "trials.csv": "b425d0f6039efdf0626d4bdceb304b243bf9458449e6b3db18bc4de5b6f446b3",
-        }
+        assert digests == DEFAULT_CONFIG_DIGESTS
 
     def test_fixed_model_result_digests_are_pinned(self, tmp_path):
         # the pin above covers fresh models only; this one covers one model
@@ -437,6 +446,58 @@ class TestRunExperiment:
             assert {key: row[key] for key in expected} == {key: str(value) for key, value in expected.items()}
         assert 0 < len(simulated) < len(rows)
         assert next(accepted, None) is None
+
+    def test_run_info_records_stage_seconds(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run-experiment", "--seed", "1", "--out-dir", str(out)]) == 0
+        info = read_json(out / "run_info.json")
+        assert set(info) == {"runtime_seconds", "stage_seconds"}
+        stages = info["stage_seconds"]
+        assert set(stages) == {"generate", "simulate", "fit", "decide", "score"}
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert sum(stages.values()) == pytest.approx(info["runtime_seconds"], rel=1e-9)
+        # the wall-clock record stays out of the result tree
+        assert {name: sha256(out / name) for name in DEFAULT_CONFIG_DIGESTS} == DEFAULT_CONFIG_DIGESTS
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_fixed_model_generation_failure_gives_error_rows(self, tmp_path, seed):
+        cfg_path = write_config(tmp_path, generator={"max_rejections": 0}, fixed_model=True, trials=3)
+        out = tmp_path / "o"
+        assert main(["run-experiment", "--config", cfg_path, "--seed", str(seed), "--out-dir", str(out)]) == 0
+        gcfg = GeneratorConfig.from_dict({**load_config(cfg_path)["generator"], "rng_seed": derive_seed(seed, 0, 0)})
+        with pytest.raises(GenerationFailed) as failed:
+            random_model(gcfg)
+        rows = read_rows(out / "trials.csv")
+        assert [(row["trial"], row["seed"]) for row in rows] == [(str(t), str(derive_seed(seed, t, 1))) for t in range(3)]
+        assert all(row["error"] == f"GenerationFailed: {failed.value}" and not row["precision"] for row in rows)
+        agg = read_json(out / "aggregate.json")["aggregate"]
+        assert (agg["completed"], agg["failures"]) == (0, 3)
+
+    def test_fit_and_decide_failures_stay_in_their_trial(self, tmp_path, monkeypatch):
+        # trial 1's fit fails and trial 3's estimate cannot be tested; every
+        # other row is the row of an undisturbed run
+        cfg_path = write_config(tmp_path, trials=5)
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(tmp_path / "a")]) == 0
+        fit = lrdnet.cli.estimate_filters
+        calls = []
+
+        def disturbed(ts, **kwargs):
+            calls.append(ts)
+            if len(calls) == 2:
+                raise InsufficientData("forced")
+            h_est, s_est = fit(ts, **kwargs)
+            if len(calls) == 4:
+                s_est.gram_blocks[0, 1] = 0.0
+            return h_est, s_est
+
+        monkeypatch.setattr(lrdnet.cli, "estimate_filters", disturbed)
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(tmp_path / "b")]) == 0
+        undisturbed, rows = read_rows(tmp_path / "a" / "trials.csv"), read_rows(tmp_path / "b" / "trials.csv")
+        assert rows[1]["error"] == "InsufficientData: forced"
+        assert rows[3]["error"].startswith("DegenerateRestriction: group (9, 10) Gram-inverse block is singular")
+        assert not rows[1]["precision"] and not rows[3]["precision"]
+        assert [rows[t] for t in (0, 2, 4)] == [undisturbed[t] for t in (0, 2, 4)]
+        assert all(not undisturbed[t]["error"] for t in range(5))
 
     def test_fixed_model_mode_runs_and_differs_from_fresh(self, tmp_path):
         out_a, out_b = tmp_path / "fixed", tmp_path / "fresh"

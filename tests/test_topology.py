@@ -1,27 +1,37 @@
 """Edge decisions, partition selection, and graph metrics."""
 
+import copy
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config, twelve_node_config
-from lrdnet.errors import DegenerateRestriction, InsufficientData
+from lrdnet.errors import DegenerateRestriction, InsufficientData, LrdnError
 from lrdnet.model import DirectedGraph, LrdnModel, random_model, true_graph
 from lrdnet.polymat import PolynomialMatrix
 from lrdnet.sim import TimeSeries, simulate
 from lrdnet.topology import (
+    DETERMINISTIC_RESID_TOL,
+    NORM_THRESHOLD,
     EdgeTestResult,
     Partition,
+    _group_tests,
+    _pair_tests,
     apply_partition,
     compare_graphs,
     inverse_factor_support_check,
     decide_graph,
+    decide_graphs,
     edge_test,
     edge_test_table,
     partition_select,
     support_graph,
     write_edge_tests_csv,
 )
-from lrdnet.wiener import L_BLOCK, M_BLOCK, estimate_h, estimate_s, exact_filters, lagged_design
+from lrdnet.wiener import L_BLOCK, M_BLOCK, estimate_filters, estimate_h, estimate_s, exact_filters, lagged_design
 from test_sim import white_model
 
 
@@ -255,6 +265,113 @@ class TestBatchedEdgeTable:
                 edge_test_table(h_est, s_est, alpha=0.01)
             assert str(got.value) == str(expected.value)
             assert str(got.value).startswith(f"group ({first[0]}, {first[1]})")
+
+
+@functools.cache
+def estimate_pool():
+    """(h_est, s_est) pairs of many kinds for the batch tests: small and
+    12-node fits at orders 2 and 3 (noiseless deterministic rows), a ridge
+    fit, deterministic rows with measurement noise (F path), no
+    deterministic block, and untestable pairs: a zeroed Gram-inverse block
+    in s, one in noisy h rows, and no residual degrees of freedom."""
+    pool = []
+    cases = [(small_config(seed=0), 400, 2), (small_config(seed=1), 1500, 3),
+             (twelve_node_config(seed=500), 200, 2), (twelve_node_config(seed=501), 300, 3)]
+    for k, (cfg, T, order) in enumerate(cases):
+        pool.append(estimate_filters(simulate(random_model(cfg), num_samples=T, seed=900 + k), order=order))
+    ts = simulate(random_model(small_config(seed=2)), num_samples=500, seed=905)
+    pool.append(estimate_filters(ts, order=2, ridge=0.5))
+    data = ts.data.copy()
+    data[:, : ts.m] += 0.1 * np.random.default_rng(6).standard_normal((ts.num_samples, ts.m))
+    noisy = estimate_filters(TimeSeries(data=data, m=ts.m, l=ts.l), order=2)
+    pool.append(noisy)
+    pool.append(estimate_filters(TimeSeries(data=ts.y_l, m=0, l=ts.l), order=3))
+    h_est, s_est = copy.deepcopy(pool[0])
+    s_est.gram_blocks[0, 1] = 0.0
+    pool.append((h_est, s_est))
+    h_est, s_est = copy.deepcopy(noisy)
+    h_est.gram_blocks[1, 2] = 0.0
+    pool.append((h_est, s_est))
+    h_est, s_est = copy.deepcopy(pool[1])
+    s_est.n_regressors[2] = s_est.num_used_samples
+    pool.append((h_est, s_est))
+    return pool
+
+
+pool_picks = st.lists(st.integers(0, 9), min_size=1, max_size=8)
+
+
+class TestBatchInvariance:
+    """Many estimate pairs tested in one batch give, pair by pair, exactly
+    what each pair gives alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=pool_picks, alpha=st.sampled_from([0.01, 0.05, 0.5, 0.9]), correction=st.sampled_from(["none", "bonferroni"]))
+    @example(picks=list(range(10)), alpha=0.9, correction="bonferroni")  # a decision turns on each pair's own count
+    def test_decide_graphs_matches_one_pair_at_a_time(self, picks, alpha, correction):
+        pairs = [estimate_pool()[k] for k in picks]
+        batched = decide_graphs(pairs, alpha=alpha, correction=correction)
+        assert len(batched) == len(pairs)
+        for (h_est, s_est), got in zip(pairs, batched):
+            try:
+                expected = decide_graph(h_est, s_est, alpha=alpha, correction=correction)
+            except LrdnError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                continue
+            assert got == expected
+            n_tests = (s_est.m + s_est.l) * s_est.l
+            reference = reference_table(h_est, s_est, alpha / n_tests if correction == "bonferroni" else alpha)
+            assert got.edges == {(r.target, r.source) for r in reference if r.decision}
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=pool_picks, alpha=st.sampled_from([0.01, 0.05, 0.5]), correction=st.sampled_from(["none", "bonferroni"]))
+    def test_batched_table_equals_a_batch_of_one(self, picks, alpha, correction):
+        pairs = [estimate_pool()[k] for k in picks]
+        for (h_est, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction, NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)):
+            if error is not None:
+                with pytest.raises(type(error)) as alone:
+                    edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
+                assert str(alone.value) == str(error)
+                continue
+            table = edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
+            order = np.lexsort((columns[1], columns[0]))
+            assert np.array_equal(columns[2][order], [r.statistic for r in table])
+            assert np.array_equal(columns[3][order], [r.p_value for r in table])
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=pool_picks, data=st.data())
+    def test_kernel_columns_equal_a_batch_of_one(self, picks, data):
+        # random pair subsets in random order, one level per estimate
+        batch = []
+        for k in picks:
+            for est in estimate_pool()[k]:
+                if est is None:
+                    continue
+                n = est.num_rows * est.l
+                keep = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+                rows, chans = keep % est.num_rows, keep // est.num_rows
+                batch.append((est, rows, chans, data.draw(st.sampled_from([1e-3, 0.05, 0.5, 0.9]))))
+        together = _group_tests(batch, NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)
+        for entry, (columns, failure) in zip(batch, together):
+            ((alone, alone_failure),) = _group_tests([entry], NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)
+            for got, expected in zip(columns, alone):
+                assert np.array_equal(got, expected)
+            if failure is None:
+                assert alone_failure is None
+            else:
+                assert failure[:2] == alone_failure[:2]
+                assert (type(failure[2]), str(failure[2])) == (type(alone_failure[2]), str(alone_failure[2]))
+
+    def test_empty_batch(self):
+        assert decide_graphs([]) == []
+
+    def test_one_untestable_pair_leaves_the_others_alone(self):
+        pool = estimate_pool()
+        graphs = decide_graphs([pool[0], pool[7], pool[2], pool[9]], alpha=0.01, correction="bonferroni")
+        assert isinstance(graphs[1], DegenerateRestriction)
+        assert isinstance(graphs[3], InsufficientData)
+        assert graphs[0] == decide_graph(*pool[0], alpha=0.01, correction="bonferroni")
+        assert graphs[2] == decide_graph(*pool[2], alpha=0.01, correction="bonferroni")
 
 
 class TestDecideGraph:
