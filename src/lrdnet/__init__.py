@@ -21,6 +21,7 @@ from .model import (
     ValidationReport,
     model_hash,
     random_model,
+    random_models,
     reduced_form,
     true_graph,
     validate,

@@ -26,6 +26,7 @@ from .model import (
     LrdnModel,
     model_hash,
     random_model,
+    random_models,
     true_graph,
     validate,
 )
@@ -327,10 +328,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
 
     Per-trial seeds derive from (master_seed, trial, stream), so the result
     tree is a pure function of the config. The loop runs in five stages:
-    draw every trial's model from its own seed, simulate all accepted models
-    in one lock-step call, fit each trial's two filters, decide every fitted
-    trial's edges in one batched call, and score each decided graph. A trial
-    that fails a stage gets an error row and the run continues.
+    draw every trial's model from its own seed in one lock-step call,
+    simulate all accepted models in one lock-step call, fit each trial's two
+    filters, decide every fitted trial's edges in one batched call, and score
+    each decided graph. A trial that fails a stage, including a numpy
+    failure in its fit, gets an error row and the run continues.
     """
     chash = config_hash(cfg)
     master = cfg["master_seed"]
@@ -341,22 +343,18 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     trials = range(cfg["trials"])
     clock = [time.perf_counter()]
 
-    models, errors = {}, {}
+    draws = []
     try:
         gcfg = GeneratorConfig.from_dict({**cfg["generator"], "rng_seed": derive_seed(master, 0, 0)})
         if cfg.get("fixed_model"):
-            try:
-                models = dict.fromkeys(trials, random_model(gcfg))
-            except LrdnError as exc:
-                errors = dict.fromkeys(trials, exc)
+            drawn = dict.fromkeys(trials, random_models([gcfg], draws=draws)[0])
         else:
-            for trial in trials:
-                try:
-                    models[trial] = random_model(replace(gcfg, rng_seed=derive_seed(master, trial, 0)))
-                except LrdnError as exc:
-                    errors[trial] = exc
+            configs = [replace(gcfg, rng_seed=derive_seed(master, trial, 0)) for trial in trials]
+            drawn = dict(zip(trials, random_models(configs, draws=draws)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"generator config rejected: {exc}") from exc
+    models = {trial: result for trial, result in drawn.items() if isinstance(result, LrdnModel)}
+    errors = {trial: result for trial, result in drawn.items() if trial not in models}
     clock.append(time.perf_counter())
 
     seeds = {trial: derive_seed(master, trial, 1) for trial in trials}
@@ -372,7 +370,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     for trial, ts in zip(models, series):
         try:
             fits[trial] = estimate_filters(ts, order=p, ridge=ridge)
-        except LrdnError as exc:
+        except (LrdnError, np.linalg.LinAlgError, FloatingPointError) as exc:
             errors[trial] = exc
     clock.append(time.perf_counter())
 
@@ -411,6 +409,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     _write_json(out_dir / "aggregate.json", {"aggregate": aggregate}, chash, master)
     # wall-clock time lives apart so the result tree stays reproducible
     run_info = {
+        "generator_draws": sum(draws),
         "runtime_seconds": clock[-1] - clock[0],
         "stage_seconds": {stage: end - start for stage, start, end in zip(RUN_STAGES, clock, clock[1:])},
     }

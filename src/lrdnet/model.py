@@ -8,12 +8,20 @@ An :class:`LrdnModel` is the triple (g_ml, g_l, sigma_l) driving
 with w_l white Gaussian noise of diagonal covariance diag(sigma_l). The
 diagonal of the lag-0 coefficient of g_l is identically zero, so no channel
 feeds back on its own present value.
+
+:func:`validate` checks a model's standing assumptions. :func:`random_models`
+draws test models by rejection sampling, many seeds in lock-step: each round
+every pending seed draws one candidate with scalar RNG calls, and the round
+is certified by one stacked check (:func:`polymat.stability_certificates`).
+``validate`` is that check for one model and :func:`random_model` that draw
+for one seed, so each seed gets the model it gets alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +33,7 @@ from .polymat import (
     DEFAULT_HORIZON,
     DEFAULT_ZERO_TOL,
     PolynomialMatrix,
-    inverse_tail_norm,
+    stability_certificates,
     truncated_inverse,
     vstack,
 )
@@ -102,6 +110,45 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# names of the standing-assumption checks, in report order
+CHECK_NAMES = (
+    "strictly_causal_diagonal",
+    "leading_coefficient_condition",
+    "inverse_decay_tail",
+    "positive_noise_variance",
+)
+
+
+def _check_table(g_ls, sigmas, horizon, decay_tol, cond_bound) -> tuple[np.ndarray, np.ndarray]:
+    """Values and pass flags of :func:`validate`'s checks, one row per model.
+
+    Models are given by their g_l coefficient arrays and noise variances.
+    I - g_l is formed as ``PolynomialMatrix`` subtraction forms it, and every
+    lead and decay tail comes from one :func:`polymat.stability_certificates`
+    call, so a model's row does not depend on the other models.
+    """
+    diag0 = np.empty(len(g_ls))
+    min_sigma = np.empty(len(g_ls))
+    filters = [None] * len(g_ls)
+    by_shape: dict[tuple, list[int]] = {}
+    for i, g in enumerate(g_ls):
+        by_shape.setdefault(g.shape, []).append(i)
+    for shape, members in by_shape.items():
+        g = np.stack([g_ls[i] for i in members])
+        ident = np.zeros(shape)
+        ident[0] = np.eye(shape[1])
+        diag0[members] = np.abs(np.diagonal(g[:, 0], axis1=1, axis2=2)).max(axis=1)
+        min_sigma[members] = np.stack([sigmas[i] for i in members]).min(axis=1)
+        for i, a in zip(members, ident - g):
+            filters[i] = a
+    conds, tails = stability_certificates(filters, horizon, cond_bound)
+    values = np.stack([diag0, conds, tails, min_sigma], axis=1)
+    passed = np.stack(
+        [diag0 == 0.0, np.isfinite(conds) & (conds <= cond_bound), tails <= decay_tol, min_sigma > 0.0], axis=1
+    )
+    return values, passed
+
+
 def validate(
     model: LrdnModel,
     horizon: int = DEFAULT_HORIZON,
@@ -118,29 +165,20 @@ def validate(
     The decay check ``inverse_decay_tail`` is ||Q_horizon||_F, the last
     coefficient of ``truncated_inverse(I - g_l, horizon)``, against
     ``decay_tol``. It is computed by repeated squaring of the block companion
-    matrix of the inverse recursion (:func:`polymat.inverse_tail_norm`), so
-    it costs about log2(horizon) small matrix products; a divergent candidate
-    fails it with a non-finite value.
+    matrix of the inverse recursion (:func:`polymat.stability_certificates`),
+    so it costs about log2(horizon) small matrix products; a divergent
+    candidate fails it with a non-finite value. It is skipped (value inf)
+    when the lead fails its condition check. This is the stacked check that
+    :func:`random_models` runs on each round of candidates, for one model.
     """
-    checks = []
-
-    diag0 = np.abs(np.diag(model.g_l.coeff(0))).max() if model.l else 0.0
-    checks.append(ValidationCheck("strictly_causal_diagonal", diag0 == 0.0, diag0, 0.0))
-
-    lead = np.eye(model.l) - model.g_l.coeff(0)
-    cond = float(np.linalg.cond(lead))
-    checks.append(ValidationCheck("leading_coefficient_condition", np.isfinite(cond) and cond <= cond_bound, cond, cond_bound))
-
-    if checks[-1].passed:
-        tail = inverse_tail_norm(PolynomialMatrix.identity(model.l) - model.g_l, horizon)
-    else:
-        tail = np.inf
-    checks.append(ValidationCheck("inverse_decay_tail", tail <= decay_tol, tail, decay_tol))
-
-    min_sigma = float(model.sigma_l.min())
-    checks.append(ValidationCheck("positive_noise_variance", min_sigma > 0.0, min_sigma, 0.0))
-
-    return ValidationReport(tuple(checks))
+    values, passed = _check_table([model.g_l.coeffs], [model.sigma_l], horizon, decay_tol, cond_bound)
+    limits = (0.0, cond_bound, decay_tol, 0.0)
+    return ValidationReport(
+        tuple(
+            ValidationCheck(name, bool(ok), float(value), float(limit))
+            for name, ok, value, limit in zip(CHECK_NAMES, passed[0], values[0], limits)
+        )
+    )
 
 
 def require_valid(model: LrdnModel, **kwargs) -> ValidationReport:
@@ -253,6 +291,8 @@ class GeneratorConfig:
             raise ValueError("coeff_min must be positive so edges stay detectable")
         if self.coeff_max < self.coeff_min:
             raise ValueError("coeff_max must be at least coeff_min")
+        if not np.isfinite([self.coeff_min, self.coeff_max]).all():
+            raise ValueError("coeff_min and coeff_max must be finite")
         if self.degree_ml < 0 or self.degree_l < 0:
             raise ValueError("degrees must be nonnegative")
         for ch in self.pure_noise:
@@ -305,21 +345,125 @@ def _resolve_support(spec, shape, allowed, rng):
     return mask
 
 
-def _fill_entries(mask, degree, lag_floor, rng, coeff_min, coeff_max):
-    """One nonzero coefficient per supported entry, at a random allowed lag."""
-    rows, cols = mask.shape
-    coeffs = np.zeros((degree + 1, rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            if not mask[i, j]:
-                continue
-            lo = lag_floor[i, j]
-            if lo > degree:
-                raise ValueError(f"entry ({i + 1}, {j + 1}) needs a lag >= {lo} but degree is {degree}")
-            lag = int(rng.integers(lo, degree + 1))
-            mag = rng.uniform(coeff_min, coeff_max)
-            coeffs[lag, i, j] = mag if rng.random() < 0.5 else -mag
+def _supported_cells(mask, lag_floor, degree) -> list[tuple[int, int, int]]:
+    """(row, col, lowest allowed lag) of each True cell of ``mask``, row-major."""
+    rows, cols = np.nonzero(mask)
+    floors = lag_floor[rows, cols]
+    for i, j, lo in zip(rows, cols, floors):
+        if lo > degree:
+            raise ValueError(f"entry ({i + 1}, {j + 1}) needs a lag >= {lo} but degree is {degree}")
+    return list(zip(rows.tolist(), cols.tolist(), floors.tolist()))
+
+
+def _fill_entries(cells, shape, degree, rng, coeff_min, coeff_max):
+    """One nonzero coefficient per supported cell, at a random allowed lag,
+    with magnitude uniform on [coeff_min, coeff_max] and a fair sign."""
+    coeffs = np.zeros((degree + 1, *shape))
+    low = float(coeff_min)
+    span = float(coeff_max) - low
+    integers, random = rng.integers, rng.random
+    for i, j, lo in cells:
+        lag = integers(lo, degree + 1)
+        # numpy's definition of rng.uniform(low, high), in one cheaper call
+        mag = low + span * random()
+        coeffs[lag, i, j] = mag if random() < 0.5 else -mag
     return coeffs
+
+
+class _CandidateStream:
+    """One config's generator state: its RNG after the support draws, its
+    supported cells with their lag floors, and its draw budget."""
+
+    def __init__(self, config: GeneratorConfig):
+        self.config = config
+        self.rng = rng = np.random.default_rng(config.rng_seed)
+        m, l = config.m, config.l
+
+        allowed_ml = np.ones((m, l), dtype=bool)
+        allowed_l = np.ones((l, l), dtype=bool)
+        for ch in config.pure_noise:
+            allowed_l[ch - 1, :] = False
+        if config.degree_l == 0:
+            np.fill_diagonal(allowed_l, False)
+            if not config.lag0_offdiag:
+                allowed_l[:] = False
+
+        mask_ml = _resolve_support(config.support_ml, (m, l), allowed_ml, rng)
+        mask_l = _resolve_support(config.support_l, (l, l), allowed_l, rng)
+
+        # diagonal entries are strictly causal; off-diagonal ones may sit at
+        # lag 0 only when explicitly enabled
+        lag_floor_l = np.full((l, l), 0 if config.lag0_offdiag else 1, dtype=int)
+        np.fill_diagonal(lag_floor_l, 1)
+        self.cells_ml = _supported_cells(mask_ml, np.zeros((m, l), dtype=int), config.degree_ml)
+        self.cells_l = _supported_cells(mask_l, lag_floor_l, config.degree_l)
+
+        self.sigma = np.ones(l) if config.sigma_l is None else np.asarray(config.sigma_l, dtype=float)
+        if self.sigma.shape != (l,):
+            raise ValueError(f"sigma_l must have length {l}")
+        # range() refuses a non-integer budget, as the draw loop always did
+        self.budget = len(range(config.max_rejections + 1))
+        self.draws = 0
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """Next candidate's g_ml and g_l coefficients."""
+        c = self.config
+        self.draws += 1
+        g_ml = _fill_entries(self.cells_ml, (c.m, c.l), c.degree_ml, self.rng, c.coeff_min, c.coeff_max)
+        g_l = _fill_entries(self.cells_l, (c.l, c.l), c.degree_l, self.rng, c.coeff_min, c.coeff_max)
+        return g_ml, g_l
+
+    def failure(self) -> GenerationFailed:
+        return GenerationFailed(
+            f"no stable model found in {self.config.max_rejections + 1} draws; "
+            "the support/magnitude combination rarely yields stable dynamics"
+        )
+
+
+def random_models(
+    configs: Sequence[GeneratorConfig],
+    horizon: int = DEFAULT_HORIZON,
+    decay_tol: float = DEFAULT_DECAY_TOL,
+    draws: list | None = None,
+) -> list[LrdnModel | GenerationFailed]:
+    """Draw one model per config in lock-step; deterministic in each seed.
+
+    Slot k holds the model of ``configs[k]``, or the :class:`GenerationFailed`
+    of a config whose ``max_rejections + 1`` candidates all failed. For each
+    config the support is drawn once; coefficient values (and their lags)
+    are then redrawn until a candidate passes :func:`validate`'s checks.
+
+    Trials advance in rounds: every pending config draws its next candidate
+    from its own RNG stream, then the whole round is certified by one
+    stacked check (:func:`polymat.stability_certificates`). A config's draws
+    and accepted model are those it gets when drawn alone. A config the
+    generator cannot serve raises ``ValueError``. If ``draws`` is given, the
+    number of candidates drawn for each slot is appended to it.
+    """
+    streams = [_CandidateStream(config) for config in configs]
+    out = [None if stream.budget else stream.failure() for stream in streams]
+    pending = [k for k, stream in enumerate(streams) if stream.budget]
+    while pending:
+        drawn = [streams[k].draw() for k in pending]
+        _, passed = _check_table(
+            [g_l for _, g_l in drawn], [streams[k].sigma for k in pending], horizon, decay_tol, DEFAULT_COND_BOUND
+        )
+        still = []
+        for k, (g_ml, g_l), ok in zip(pending, drawn, passed.all(axis=1)):
+            stream = streams[k]
+            if ok:
+                c = stream.config
+                out[k] = LrdnModel(
+                    m=c.m, l=c.l, g_ml=PolynomialMatrix(g_ml), g_l=PolynomialMatrix(g_l), sigma_l=stream.sigma
+                )
+            elif stream.draws == stream.budget:
+                out[k] = stream.failure()
+            else:
+                still.append(k)
+        pending = still
+    if draws is not None:
+        draws.extend(stream.draws for stream in streams)
+    return out
 
 
 def random_model(
@@ -327,48 +471,11 @@ def random_model(
     horizon: int = DEFAULT_HORIZON,
     decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> LrdnModel:
-    """Draw a model matching the requested support; deterministic in the seed.
-
-    The support is drawn once; coefficient values (and their lags) are
-    resampled up to ``max_rejections`` times until the stability checks pass.
-    """
-    rng = np.random.default_rng(config.rng_seed)
-    m, l = config.m, config.l
-
-    allowed_ml = np.ones((m, l), dtype=bool)
-    allowed_l = np.ones((l, l), dtype=bool)
-    for ch in config.pure_noise:
-        allowed_l[ch - 1, :] = False
-    if config.degree_l == 0:
-        np.fill_diagonal(allowed_l, False)
-        if not config.lag0_offdiag:
-            allowed_l[:] = False
-
-    mask_ml = _resolve_support(config.support_ml, (m, l), allowed_ml, rng)
-    mask_l = _resolve_support(config.support_l, (l, l), allowed_l, rng)
-
-    # diagonal entries are strictly causal; off-diagonal ones may sit at lag 0
-    # only when explicitly enabled
-    lag_floor_l = np.full((l, l), 0 if config.lag0_offdiag else 1, dtype=int)
-    np.fill_diagonal(lag_floor_l, 1)
-    lag_floor_ml = np.zeros((m, l), dtype=int)
-
-    sigma = np.ones(l) if config.sigma_l is None else np.asarray(config.sigma_l, dtype=float)
-
-    for _ in range(config.max_rejections + 1):
-        g_ml = PolynomialMatrix(
-            _fill_entries(mask_ml, config.degree_ml, lag_floor_ml, rng, config.coeff_min, config.coeff_max)
-        )
-        g_l = PolynomialMatrix(
-            _fill_entries(mask_l, config.degree_l, lag_floor_l, rng, config.coeff_min, config.coeff_max)
-        )
-        model = LrdnModel(m=m, l=l, g_ml=g_ml, g_l=g_l, sigma_l=sigma)
-        if validate(model, horizon=horizon, decay_tol=decay_tol).ok:
-            return model
-    raise GenerationFailed(
-        f"no stable model found in {config.max_rejections + 1} draws; "
-        "the support/magnitude combination rarely yields stable dynamics"
-    )
+    """:func:`random_models` of one config; raises its ``GenerationFailed``."""
+    (result,) = random_models([config], horizon, decay_tol)
+    if isinstance(result, GenerationFailed):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

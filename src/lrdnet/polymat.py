@@ -5,7 +5,8 @@ a finite sum ``sum_k C_k z^-k`` with real coefficient matrices ``C_k``.
 Rational inverses are represented by horizon-truncated expansions computed
 with :func:`truncated_inverse`; where only the last coefficient or the
 recursion itself is needed, :func:`companion` gives the same recursion in
-block companion form.
+block companion form, and :func:`stability_certificates` certifies many
+filters' leads and decay in one stacked pass.
 """
 
 from __future__ import annotations
@@ -294,12 +295,70 @@ def companion(a: PolynomialMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.rows != a.cols:
         raise ValueError(f"companion matrix needs a square filter, got {a.shape}")
-    n, d = a.rows, a.degree
-    a0_inv = np.linalg.inv(a.coeff(0))
-    c = np.eye(n * d, k=-n)
+    a0_inv, c = _companions(a.coeffs[np.newaxis])
+    return a0_inv[0], c[0]
+
+
+def _companions(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`companion` of a (k, d+1, n, n) stack of filters of one shape,
+    with one stacked inverse and one stacked product; each slice equals the
+    result for that filter alone."""
+    k, d1, n, _ = coeffs.shape
+    d = d1 - 1
+    a0_inv = np.linalg.inv(coeffs[:, 0])
+    c = np.tile(np.eye(n * d, k=-n), (k, 1, 1))
     if d:
-        c[:n] = -a0_inv @ a.coeffs[1:].transpose(1, 0, 2).reshape(n, n * d)
+        c[:, :n] = -a0_inv @ coeffs[:, 1:].transpose(0, 2, 1, 3).reshape(k, n, n * d)
     return a0_inv, c
+
+
+def stability_certificates(
+    filters,
+    horizon: int = DEFAULT_HORIZON,
+    cond_bound: float = DEFAULT_COND_BOUND,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-0 condition numbers and inverse decay tails of many square filters.
+
+    ``filters`` are (degree+1, n, n) coefficient arrays; trailing exactly-zero
+    coefficients are dropped, as :meth:`PolynomialMatrix.normalized` does.
+    Returns two arrays: cond(A_0), and ||Q_horizon||_F, the last coefficient
+    of the causal inverse (see :func:`inverse_tail_norm`). The tail is inf
+    where the condition number is not finite or exceeds ``cond_bound``; such
+    a lead is not inverted. It is 0.0 for a degree-0 filter that passes.
+
+    Filters are grouped by (n, degree). Each group gets one stacked
+    ``np.linalg.cond``, one inverse, one companion build and one
+    ``np.linalg.matrix_power`` of the companion matrices. Each tail is the
+    2-D Frobenius norm of that filter's own Q, so every value equals the one
+    the filter gets when checked alone. A divergent filter yields a
+    non-finite tail without floating-point warnings.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    conds = np.empty(len(filters))
+    tails = np.full(len(filters), np.inf)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(filters):
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"stability certificates need square filters, got shape {a.shape}")
+        d = len(a) - 1
+        while d and not a[d].any():
+            d -= 1
+        groups.setdefault((a.shape[1], d), []).append(i)
+    for (n, d), members in groups.items():
+        stack = np.stack([filters[i][: d + 1] for i in members])
+        cond = np.linalg.cond(stack[:, 0])
+        conds[members] = cond
+        ok = np.isfinite(cond) & (cond <= cond_bound)
+        passing = np.asarray(members)[ok]
+        if not d:
+            tails[passing] = 0.0
+        elif passing.size:
+            a0_inv, c = _companions(stack[ok])
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = np.linalg.matrix_power(c, horizon)[:, :n, :n] @ a0_inv
+                tails[passing] = [np.linalg.norm(qi) for qi in q]
+    return conds, tails
 
 
 def inverse_tail_norm(a: PolynomialMatrix, horizon: int = DEFAULT_HORIZON) -> float:
@@ -309,17 +368,10 @@ def inverse_tail_norm(a: PolynomialMatrix, horizon: int = DEFAULT_HORIZON) -> fl
     ||(C^horizon)[:n, :n] A_0^-1||_F by repeated squaring of the
     :func:`companion` matrix (about log2(horizon) products instead of
     ``horizon`` recursion steps). A divergent filter yields a non-finite
-    value without floating-point warnings.
+    value without floating-point warnings. It is
+    :func:`stability_certificates` of one filter with no conditioning bound.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if a.degree == 0:
-        return 0.0
-    a0_inv, c = companion(a)
-    n = a.rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.linalg.matrix_power(c, horizon)[:n, :n] @ a0_inv
-        return float(np.linalg.norm(q))
+    return float(stability_certificates([a.coeffs], horizon, cond_bound=np.inf)[1][0])
 
 
 def vstack(top: PolynomialMatrix, bottom: PolynomialMatrix) -> PolynomialMatrix:

@@ -110,8 +110,8 @@ def simulate_accepted(
     """Simulate every model with its own seed; one TimeSeries per model, in order.
 
     Precondition: every model has passed :func:`model.validate` with the
-    default arguments, as every :func:`model.random_model` result has. The
-    models are not validated again.
+    default arguments, as every model that :func:`model.random_models` draws
+    has. The models are not validated again.
 
     Each model draws its noise w from ``default_rng(seed)`` and forms
     u = w (I - G_0)^-T once. The recursion runs in companion form: each step

@@ -451,7 +451,8 @@ class TestRunExperiment:
         out = tmp_path / "o"
         assert main(["run-experiment", "--seed", "1", "--out-dir", str(out)]) == 0
         info = read_json(out / "run_info.json")
-        assert set(info) == {"runtime_seconds", "stage_seconds"}
+        assert set(info) == {"generator_draws", "runtime_seconds", "stage_seconds"}
+        assert info["generator_draws"] >= 20
         stages = info["stage_seconds"]
         assert set(stages) == {"generate", "simulate", "fit", "decide", "score"}
         assert all(seconds >= 0 for seconds in stages.values())
@@ -498,6 +499,27 @@ class TestRunExperiment:
         assert not rows[1]["precision"] and not rows[3]["precision"]
         assert [rows[t] for t in (0, 2, 4)] == [undisturbed[t] for t in (0, 2, 4)]
         assert all(not undisturbed[t]["error"] for t in range(5))
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numpy_fit_failure_stays_in_its_trial(self, tmp_path, monkeypatch, error):
+        # a numpy failure in trial 2's fit is that trial's error row, not exit 2
+        cfg_path = write_config(tmp_path, trials=4)
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "2", "--out-dir", str(tmp_path / "a")]) == 0
+        fit = lrdnet.cli.estimate_filters
+        calls = []
+
+        def disturbed(ts, **kwargs):
+            calls.append(ts)
+            if len(calls) == 3:
+                raise error("forced")
+            return fit(ts, **kwargs)
+
+        monkeypatch.setattr(lrdnet.cli, "estimate_filters", disturbed)
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "2", "--out-dir", str(tmp_path / "b")]) == 0
+        undisturbed, rows = read_rows(tmp_path / "a" / "trials.csv"), read_rows(tmp_path / "b" / "trials.csv")
+        assert rows[2]["error"] == f"{error.__name__}: forced" and not rows[2]["precision"]
+        assert [rows[t] for t in (0, 1, 3)] == [undisturbed[t] for t in (0, 1, 3)]
+        assert read_json(tmp_path / "b" / "aggregate.json")["aggregate"]["failures"] == 1
 
     def test_fixed_model_mode_runs_and_differs_from_fresh(self, tmp_path):
         out_a, out_b = tmp_path / "fixed", tmp_path / "fresh"

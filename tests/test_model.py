@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config, twelve_node_config
+from lrdnet.cli import default_experiment_config
 from lrdnet.errors import GenerationFailed, InvalidModel
 from lrdnet.model import (
     DirectedGraph,
@@ -13,12 +14,21 @@ from lrdnet.model import (
     LrdnModel,
     model_hash,
     random_model,
+    random_models,
     reduced_form,
     require_valid,
     true_graph,
     validate,
 )
-from lrdnet.polymat import DEFAULT_DECAY_TOL, PolynomialMatrix, truncated_inverse
+from lrdnet.polymat import (
+    DEFAULT_COND_BOUND,
+    DEFAULT_DECAY_TOL,
+    DEFAULT_HORIZON,
+    PolynomialMatrix,
+    inverse_tail_norm,
+    stability_certificates,
+    truncated_inverse,
+)
 
 
 def ar1_model(a=0.5, m=1, h=0.7):
@@ -328,3 +338,225 @@ def test_model_json_round_trip(small_model):
     assert back.g_l.allclose(small_model.g_l, atol=0.0)
     assert np.array_equal(back.sigma_l, small_model.sigma_l)
     assert model_hash(back) == model_hash(small_model)
+
+
+# -- lock-step generation against the one-model-at-a-time draw loop ----------
+
+
+def reference_certificate(a, horizon=DEFAULT_HORIZON, cond_bound=DEFAULT_COND_BOUND):
+    """cond(A_0) and the decay tail of one filter, computed alone: the 2-D
+    companion matrix, its matrix power and the Frobenius norm of Q_horizon."""
+    a = PolynomialMatrix(a).normalized()
+    n, d = a.rows, a.degree
+    cond = float(np.linalg.cond(a.coeff(0)))
+    if not (np.isfinite(cond) and cond <= cond_bound):
+        return cond, np.inf
+    if d == 0:
+        return cond, 0.0
+    a0_inv = np.linalg.inv(a.coeff(0))
+    c = np.eye(n * d, k=-n)
+    c[:n] = -a0_inv @ a.coeffs[1:].transpose(1, 0, 2).reshape(n, n * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.linalg.matrix_power(c, horizon)[:n, :n] @ a0_inv
+        return cond, float(np.linalg.norm(q))
+
+
+def reference_draw(config, horizon=DEFAULT_HORIZON, decay_tol=DEFAULT_DECAY_TOL):
+    """The scalar draw loop one config at a time: rng.integers, rng.uniform
+    and rng.random per entry, each candidate checked on its own. Returns
+    (model or GenerationFailed, number of candidates drawn)."""
+    rng = np.random.default_rng(config.rng_seed)
+    m, l = config.m, config.l
+    allowed_ml = np.ones((m, l), dtype=bool)
+    allowed_l = np.ones((l, l), dtype=bool)
+    for ch in config.pure_noise:
+        allowed_l[ch - 1, :] = False
+    if config.degree_l == 0:
+        np.fill_diagonal(allowed_l, False)
+        if not config.lag0_offdiag:
+            allowed_l[:] = False
+
+    def support(spec, allowed):
+        if isinstance(spec, (int, np.integer)):
+            mask = np.zeros(allowed.shape, dtype=bool)
+            mask.ravel()[rng.choice(np.flatnonzero(allowed.ravel()), size=int(spec), replace=False)] = True
+            return mask
+        return np.asarray(spec, dtype=bool)
+
+    mask_ml, mask_l = support(config.support_ml, allowed_ml), support(config.support_l, allowed_l)
+    floor_l = np.full((l, l), 0 if config.lag0_offdiag else 1)
+    np.fill_diagonal(floor_l, 1)
+    sigma = np.ones(l) if config.sigma_l is None else np.asarray(config.sigma_l, dtype=float)
+
+    def fill(mask, degree, floor):
+        coeffs = np.zeros((degree + 1, *mask.shape))
+        for i in range(mask.shape[0]):
+            for j in range(mask.shape[1]):
+                if mask[i, j]:
+                    lag = int(rng.integers(floor[i, j], degree + 1))
+                    mag = rng.uniform(config.coeff_min, config.coeff_max)
+                    coeffs[lag, i, j] = mag if rng.random() < 0.5 else -mag
+        return coeffs
+
+    for draw in range(1, config.max_rejections + 2):
+        g_ml = fill(mask_ml, config.degree_ml, np.zeros((m, l), dtype=int))
+        g_l = fill(mask_l, config.degree_l, floor_l)
+        lead = np.zeros(g_l.shape)
+        lead[0] = np.eye(l)
+        _, tail = reference_certificate(lead - g_l, horizon)
+        if not np.diag(g_l[0]).any() and tail <= decay_tol and sigma.min() > 0:
+            return LrdnModel(m=m, l=l, g_ml=PolynomialMatrix(g_ml), g_l=PolynomialMatrix(g_l), sigma_l=sigma), draw
+    return GenerationFailed(
+        f"no stable model found in {config.max_rejections + 1} draws; "
+        "the support/magnitude combination rarely yields stable dynamics"
+    ), config.max_rejections + 1
+
+
+def assert_same_slot(got, expected):
+    if isinstance(expected, GenerationFailed):
+        assert type(got) is GenerationFailed and str(got) == str(expected)
+        return
+    assert isinstance(got, LrdnModel)
+    for a, b in ((got.g_ml, expected.g_ml), (got.g_l, expected.g_l)):
+        assert a.degree == b.degree
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(got.sigma_l, expected.sigma_l)
+
+
+MC12 = default_experiment_config()["generator"]
+
+
+@st.composite
+def generator_configs(draw):
+    """A mix of the generator's paths: the benchmark defaults, contemporaneous
+    couplings, a degree-0 g_l, pure-noise channels, given noise variances
+    (one of them possibly zero, so every candidate fails) and mask supports;
+    the draw budget is the config's own or 0-3."""
+    kind = draw(st.sampled_from(["defaults", "lag0_offdiag", "degree_l0", "pure_noise", "sigma_l", "masks"]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if kind == "defaults":
+        d = dict(MC12)
+    else:
+        m, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        d = dict(
+            m=m,
+            l=l,
+            degree_ml=draw(st.integers(0, 2)),
+            degree_l=draw(st.integers(1, 3)),
+            support_ml=draw(st.integers(0, m * l)),
+            support_l=draw(st.integers(0, l * l)),
+            coeff_min=0.3,
+            coeff_max=draw(st.sampled_from([0.6, 0.9, 1.5])),
+        )
+        if kind == "lag0_offdiag":
+            d["lag0_offdiag"] = True
+        elif kind == "degree_l0":
+            d["degree_l"] = 0
+            d["lag0_offdiag"] = draw(st.booleans())
+            d["support_l"] = draw(st.integers(0, l * (l - 1))) if d["lag0_offdiag"] else 0
+        elif kind == "pure_noise":
+            d["pure_noise"] = tuple(draw(st.sets(st.integers(1, l), max_size=l)))
+            d["support_l"] = min(d["support_l"], l * (l - len(d["pure_noise"])))
+        elif kind == "sigma_l":
+            d["sigma_l"] = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=l, max_size=l))
+        else:
+            rng = np.random.default_rng(seed)
+            d["support_ml"] = rng.random((m, l)) < 0.5
+            d["support_l"] = rng.random((l, l)) < 0.5
+    budget = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if budget is not None:
+        d["max_rejections"] = budget
+    return GeneratorConfig.from_dict({**d, "rng_seed": seed})
+
+
+class TestLockstepGeneration:
+    """random_models draws exactly what the scalar loop draws one config at a
+    time, and the stacked check equals every filter checked alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs=st.lists(generator_configs(), min_size=1, max_size=6))
+    def test_random_models_match_scalar_draw_loop(self, configs):
+        draws = []
+        got = random_models(configs, draws=draws)
+        expected = [reference_draw(c) for c in configs]
+        assert len(got) == len(configs)
+        for slot, (model, _) in zip(got, expected):
+            assert_same_slot(slot, model)
+        assert draws == [n for _, n in expected]
+
+    def test_random_model_is_a_batch_of_one(self):
+        cfg = twelve_node_config(seed=11)
+        (slot,) = random_models([cfg])
+        assert_same_slot(random_model(cfg), slot)
+        failing = twelve_node_config(seed=1, max_rejections=0)
+        (slot,) = random_models([failing])
+        with pytest.raises(GenerationFailed, match=str(slot)):
+            random_model(failing)
+
+    def test_wide72_seed_exhausts_its_501_draws(self):
+        cfg = GeneratorConfig.from_dict(
+            {**MC12, "m": 48, "l": 24, "support_ml": 108, "support_l": 36, "rng_seed": 13620220313934906236}
+        )
+        draws = []
+        (slot,) = random_models([cfg], draws=draws)
+        assert isinstance(slot, GenerationFailed)
+        assert str(slot).startswith("no stable model found in 501 draws;")
+        assert draws == [501]
+        assert_same_slot(slot, reference_draw(cfg)[0])
+
+    def test_unservable_config_raises_for_the_whole_call(self):
+        with pytest.raises(ValueError, match="requested 20 edges but only 9 admissible cells"):
+            random_models([small_config(seed=0), small_config(seed=1, support_l=20)])
+        with pytest.raises(ValueError, match="sigma_l must have length 3"):
+            random_models([small_config(seed=0, sigma_l=[1.0, 1.0])])
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+    def test_nonfinite_coefficient_bounds_rejected(self, bound):
+        with pytest.raises(ValueError, match="must be finite"):
+            small_config(coeff_max=bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3), st.booleans()), min_size=1, max_size=8),
+        scale=st.floats(0.05, 1.5),
+        horizon=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_certificates_equal_one_at_a_time(self, shapes, scale, horizon, seed):
+        # random filters of mixed sizes and degrees, some with a trailing zero
+        # coefficient, so one batch spans several (n, degree) groups
+        rng = np.random.default_rng(seed)
+        filters = []
+        for n, degree, trailing_zero in shapes:
+            a = rng.uniform(-scale, scale, (degree + 1 + trailing_zero, n, n))
+            a[0] += np.eye(n)
+            if trailing_zero:
+                a[-1] = 0.0
+            filters.append(a)
+        conds, tails = stability_certificates(filters, horizon)
+        for a, cond, tail in zip(filters, conds, tails):
+            np.testing.assert_array_equal([cond, tail], reference_certificate(a, horizon))
+            np.testing.assert_array_equal([cond, tail], np.concatenate(stability_certificates([a], horizon)))
+
+    def test_divergent_and_singular_candidates(self):
+        divergent = np.array([[[1.0]], [[-3.0]]])
+        singular = np.zeros((2, 2, 2))
+        singular[0] = [[1.0, 1.0], [1.0, 1.0]]
+        singular[1] = np.eye(2)
+        ill = np.zeros((2, 2, 2))
+        ill[0] = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
+        ill[1] = 0.1 * np.eye(2)
+        stable = np.array([[[1.0]], [[-0.9]]])
+        stable2 = np.stack([np.eye(2), [[-0.95, 0.1], [0.0, -0.95]]])
+        # the 2x2 degree-1 filters share one group, the failing leads first
+        filters = [divergent, singular, stable, ill, stable2, stable.copy()]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            conds, tails = stability_certificates(filters, horizon=1000)
+        assert not np.isfinite(tails[0])
+        assert tails[1] == np.inf and tails[3] == np.inf
+        assert conds[3] > DEFAULT_COND_BOUND
+        assert tails[2] == tails[5] == pytest.approx(0.9**1000, rel=1e-12)
+        assert 0 < tails[4] < DEFAULT_DECAY_TOL
+        for a, cond, tail in zip(filters, conds, tails):
+            np.testing.assert_array_equal([cond, tail], reference_certificate(a, 1000))
+        assert inverse_tail_norm(PolynomialMatrix(stable), horizon=1000) == tails[2]
