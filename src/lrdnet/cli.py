@@ -88,16 +88,21 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a file; ConfigError naming the file otherwise."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def load_config(path: str | None) -> dict:
     cfg = default_experiment_config()
     if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        cfg = _merge(cfg, user)
+        cfg = _merge(cfg, _read_json_object(path, "config"))
     for section in ("generator", "sim", "estimation", "decision", "partition"):
         if not isinstance(cfg.get(section), dict):
             raise ConfigError(f"{section} must be a JSON object")
@@ -182,12 +187,16 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
+# what a from_dict raises on a JSON document of the wrong shape
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _load_model(path: str) -> LrdnModel:
+    doc = _read_json_object(path, "model")
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model {path}: {exc}") from exc
-    return LrdnModel.from_dict(doc.get("model", doc))
+        return LrdnModel.from_dict(doc.get("model", doc))
+    except MALFORMED as exc:
+        raise ConfigError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 # -- subcommands ---------------------------------------------------------
@@ -243,9 +252,12 @@ def cmd_estimate(args) -> int:
     chash = config_hash(cfg)
     try:
         raw, meta = read_csv(args.data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data {args.data}: {exc}") from exc
-    seed = int(meta.get("seed", 0)) if meta else 0
+    try:
+        seed = int(meta.get("seed", 0)) if meta else 0
+    except MALFORMED as exc:
+        raise ConfigError(f"sidecar {args.data}.meta.json holds no integer seed: {exc}") from exc
 
     part = partition_select(
         raw,
@@ -305,13 +317,16 @@ def cmd_compare(args) -> int:
     chash = config_hash(cfg)
 
     def load_graph(path):
+        doc = _read_json_object(path, "graph")
         try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read graph {path}: {exc}") from exc
-        return DirectedGraph.from_dict(doc.get("graph", doc))
+            return DirectedGraph.from_dict(doc.get("graph", doc))
+        except MALFORMED as exc:
+            raise ConfigError(f"graph {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
-    metrics = compare_graphs(load_graph(args.estimated), load_graph(args.truth))
+    try:
+        metrics = compare_graphs(load_graph(args.estimated), load_graph(args.truth))
+    except ValueError as exc:
+        raise ConfigError(f"cannot compare {args.estimated} with {args.truth}: {exc}") from exc
     _write_json(out / "metrics.json", {"metrics": metrics.to_dict()}, chash, 0)
     print(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
     return 0

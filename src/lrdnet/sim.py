@@ -228,9 +228,11 @@ def write_csv(ts: TimeSeries, path, metadata: dict | None = None) -> Path:
 def read_csv(path) -> tuple[np.ndarray, dict | None]:
     """Load a sample matrix; returns (array, sidecar metadata or None).
 
-    Every data row must have as many cells as the header, and every sample
-    cell must be a finite number; otherwise :class:`InsufficientData` names
-    the file and line. Lines starting with '#' are skipped.
+    The header must hold 't' and at least one channel, every data row as
+    many cells as the header, and every sample cell a finite number;
+    otherwise :class:`InsufficientData` names the file and line. Lines
+    starting with '#' are skipped. A sidecar that is not a JSON object
+    raises ValueError naming the sidecar.
     """
     path = Path(path)
     line = 0  # file line of the last line handed to the CSV reader, for messages
@@ -246,6 +248,8 @@ def read_csv(path) -> tuple[np.ndarray, dict | None]:
         header = next(reader, None)
         if not header or header[0].strip() != "t":
             raise InsufficientData(f"{path} is not a sample CSV (missing 't' header)")
+        if len(header) < 2:
+            raise InsufficientData(f"{path} has no sample columns, only 't'")
         rows, numbers = [], []
         for row in reader:
             if not row:
@@ -265,7 +269,14 @@ def read_csv(path) -> tuple[np.ndarray, dict | None]:
         r, c = np.argwhere(~finite)[0]
         raise InsufficientData(f"{path}, line {numbers[r]}: non-finite value in column {header[c + 1]!r}")
     sidecar = path.with_name(path.name + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
+    if not sidecar.exists():
+        return data, None
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:
+        raise ValueError(f"cannot read sidecar {sidecar}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar} must hold a JSON object")
     return data, meta
 
 

@@ -39,6 +39,8 @@ DETERMINISTIC_RESID_TOL = 1e-6
 NORM_THRESHOLD = 1e-6
 
 AMBIGUITY_GAP = 10.0
+# relative squared-norm tie band of the partition pivots; ties go to the lower index
+PIVOT_TIE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -404,10 +406,10 @@ class Partition:
         }
 
 
-def _residual_ratios(y: np.ndarray, selected, candidates, q: int):
+def _residual_ratios(y: np.ndarray, selected, candidates, q: int) -> np.ndarray:
     """Residual variance of each candidate's time-t value regressed on lags
     0..q of the selected channels and an intercept (so constant offsets never
-    pass for structure), as (ratio to own variance, residual var)."""
+    pass for structure), as a ratio to its own variance."""
     targets = y[q:, candidates]
     own_var = targets.var(axis=0)
     if selected:
@@ -416,10 +418,9 @@ def _residual_ratios(y: np.ndarray, selected, candidates, q: int):
         resid = targets - X @ beta
         resid_var = np.mean(resid**2, axis=0)
     else:
-        resid_var = own_var.copy()
+        resid_var = own_var
     safe = np.where(own_var > 0, own_var, 1.0)
-    ratios = np.where(own_var > 0, resid_var / safe, 0.0)
-    return ratios, resid_var
+    return np.where(own_var > 0, resid_var / safe, 0.0)
 
 
 def _one_step_residual_rank(y: np.ndarray, q: int, rank_tol: float):
@@ -428,7 +429,8 @@ def _one_step_residual_rank(y: np.ndarray, q: int, rank_tol: float):
     Predicting y(t) from lags 1..q of all channels leaves a residual matrix
     whose sample covariance has rank equal to the number of independent
     innovations: determined channels' residuals are exact lag-0 mixtures of
-    the full-rank block's. Returns (rank, relative eigenvalues, descending).
+    the full-rank block's. Returns (rank, relative eigenvalues, descending,
+    residual matrix).
     """
     X = lagged_design(y, range(1, q + 1), intercept=True)
     targets = y[q:]
@@ -437,22 +439,27 @@ def _one_step_residual_rank(y: np.ndarray, q: int, rank_tol: float):
     lam = np.linalg.eigvalsh(resid.T @ resid / resid.shape[0])[::-1]
     rel = lam / max(lam[0], 1e-300)
     rank = int((rel > rank_tol).sum())
-    return rank, rel
+    return rank, rel, resid
 
 
 def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partition:
     """Split channels into a full-rank block and a causally determined rest.
 
-    The block size is the numerical rank of the one-step-prediction residual
-    covariance over the lag window. Channels are then chosen greedily:
-    repeatedly add the one with the largest relative regression residual on
-    lags 0..max_lag of those already selected (ties break by larger residual
-    variance, then lower index). If the chosen set fails to explain every
-    remaining channel, single-channel swaps repair it; greedy can grab a
-    high-variance determined channel early, and a swap replaces it with the
-    innovation carrier it was standing in for. Raises AmbiguousRank unless
-    both the eigenvalue spectrum and the final residual ratios are separated
-    by at least a factor of 10 around rank_tol.
+    The block size l is the numerical rank of the one-step-prediction
+    residual covariance over the lag window. The block is the first l pivots
+    of a column-pivoted Gram-Schmidt pass over those residuals (the
+    innovations), each channel's column scaled by its RMS: the pivots are
+    channels whose innovations span all of them. Among columns whose
+    squared norm is within a relative PIVOT_TIE_TOL of the largest, the
+    lowest index is pivoted, so exact ties (a determined channel that is a
+    lag-0 multiple of a full-rank one) do not follow roundoff. An all-zero
+    channel is never pivoted.
+
+    Raises AmbiguousRank when the eigenvalue spectrum shows no factor-10 gap
+    around rank_tol, when lags 0..max_lag of the pick leave a rest channel
+    with a relative residual of rank_tol or more, or when the pick's and the
+    rest's residual ratios are not 10x apart. A refusal says that this pick
+    is not a split; another size-l subset may still be one.
     """
     y = data.data if isinstance(data, TimeSeries) else np.asarray(data, dtype=float)
     if y.ndim != 2:
@@ -464,7 +471,7 @@ def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partitio
             f"{T} samples are too few for channel selection over {n} channels at lag {q}"
         )
 
-    l, rel = _one_step_residual_rank(y, q, rank_tol)
+    l, rel, innov = _one_step_residual_rank(y, q, rank_tol)
     if l < 1:
         raise AmbiguousRank("no channel carries innovation above the rank tolerance")
     if l < n and rel[l - 1] / max(rel[l], 1e-300) < AMBIGUITY_GAP:
@@ -473,68 +480,26 @@ def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partitio
             f"rank_tol={rank_tol:.1e}: {rel[l - 1]:.3e} vs {rel[l]:.3e}"
         )
 
-    def rest_explained(subset):
-        rest = [c for c in range(n) if c not in subset]
-        if not rest:
-            return True, 0.0
-        ratios, _ = _residual_ratios(y, list(subset), rest, q)
-        worst = float(ratios.max())
-        return worst < rank_tol, worst
-
-    selected: list[int] = []
-    while len(selected) < l:
-        candidates = [c for c in range(n) if c not in selected]
-        ratios, resid_vars = _residual_ratios(y, selected, candidates, q)
-        order = sorted(
-            range(len(candidates)),
-            key=lambda a: (-ratios[a], -resid_vars[a], candidates[a]),
-        )
-        selected.append(candidates[order[0]])
-
-    ok, worst = rest_explained(selected)
+    rms = np.sqrt(np.mean(y[q:] ** 2, axis=0))
+    innov = innov / np.where(rms > 0, rms, 1.0)
+    selected = []
     for _ in range(l):
-        if ok:
-            break
-        # swap repair: replace one pick by an unexplained channel, keeping the
-        # exchange that most reduces the worst remaining residual
-        rest = [c for c in range(n) if c not in selected]
-        ratios, _ = _residual_ratios(y, selected, rest, q)
-        incoming_order = [rest[a] for a in np.argsort(-ratios) if ratios[a] >= rank_tol]
-        best_swap, best_worst = None, worst
-        for incoming in incoming_order:
-            for outgoing in selected:
-                candidate = sorted([c for c in selected if c != outgoing] + [incoming])
-                cand_ok, cand_worst = rest_explained(candidate)
-                if cand_ok:
-                    best_swap, best_worst = candidate, cand_worst
-                    break
-                if cand_worst < best_worst:
-                    best_swap, best_worst = candidate, cand_worst
-            if best_swap is not None and best_worst < rank_tol:
-                break
-        if best_swap is None:
-            break
-        selected = best_swap
-        ok, worst = rest_explained(selected)
-    if not ok:
-        raise AmbiguousRank(
-            f"no size-{l} channel subset found whose lag window explains the rest "
-            f"(best attempt leaves ratio {worst:.3e} >= {rank_tol:.1e})"
-        )
+        norms = np.einsum("tc,tc->c", innov, innov)
+        norms[selected] = -np.inf
+        pivot = int(np.flatnonzero(norms >= (1 - PIVOT_TIE_TOL) * norms.max())[0])
+        selected.append(pivot)
+        unit = innov[:, pivot] / np.sqrt(norms[pivot])
+        innov = innov - np.outer(unit, unit @ innov)
+    selected.sort()
 
-    sel_ratios = []
-    for s in selected:
-        others = [x for x in selected if x != s]
-        r, _ = _residual_ratios(y, others, [s], q)
-        sel_ratios.append(float(r[0]))
     rest = [c for c in range(n) if c not in selected]
-    if rest:
-        rest_ratios, _ = _residual_ratios(y, selected, rest, q)
-        max_rest = float(rest_ratios.max())
-    else:
-        max_rest = 0.0
-
-    min_sel = min(sel_ratios)
+    max_rest = float(_residual_ratios(y, selected, rest, q).max()) if rest else 0.0
+    if max_rest >= rank_tol:
+        raise AmbiguousRank(
+            f"lags 0..{q} of the {l} pivoted channels do not explain the rest "
+            f"(worst ratio {max_rest:.3e} >= {rank_tol:.1e})"
+        )
+    min_sel = min(float(_residual_ratios(y, [x for x in selected if x != s], [s], q)[0]) for s in selected)
     gap = min_sel / max(max_rest, 1e-300)
     if min_sel < rank_tol or gap < AMBIGUITY_GAP:
         raise AmbiguousRank(
@@ -542,8 +507,8 @@ def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partitio
             f"selected ratios >= {min_sel:.3e}, discarded ratios <= {max_rest:.3e}"
         )
     return Partition(
-        l_indices=tuple(sorted(c + 1 for c in selected)),
-        m_indices=tuple(sorted(c + 1 for c in range(n) if c not in selected)),
+        l_indices=tuple(c + 1 for c in selected),
+        m_indices=tuple(c + 1 for c in rest),
         rank_gap=float(gap),
     )
 

@@ -245,6 +245,38 @@ class TestPipeline:
         (line,) = proc.stderr.strip().splitlines()
         assert line.startswith("numerical failure:")
 
+    @pytest.mark.parametrize(
+        "command, name, content, code",
+        [
+            ("estimate", "data.csv.meta.json", "{bad", 1),
+            ("estimate", "data.csv.meta.json", '{"seed": "x"}', 1),
+            ("estimate", "data.csv.meta.json", "[1, 2]", 1),
+            ("simulate", "model.json", '{"m": 1}', 1),
+            ("decide", "model.json", '{"m": 1}', 1),
+            ("compare", "graph.json", '{"graph": {"num_nodes": 3}}', 1),
+            ("compare", "graph.json", '{"num_nodes": 1e400, "m": 1, "edges": []}', 1),
+            ("compare", "graph.json", '{"num_nodes": 2, "m": 1, "edges": []}', 1),
+            ("estimate", "data.csv", "t\n1\n2\n", 2),
+        ],
+    )
+    def test_malformed_input_file_is_one_line_error(self, tmp_path, command, name, content, code):
+        write_data_csv(tmp_path / "data.csv", np.ones((3, 2)))
+        (tmp_path / "truth.json").write_text(json.dumps({"graph": {"num_nodes": 3, "m": 1, "edges": []}}))
+        (tmp_path / name).write_text(content)
+        inputs = {
+            "estimate": ["--data", "data.csv"],
+            "simulate": ["--model", "model.json"],
+            "decide": ["--model", "model.json"],
+            "compare": ["--estimated", "graph.json", "--truth", "truth.json"],
+        }[command]
+        args = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in inputs]
+        proc = run_cli(command, *args, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("config error:" if code == 1 else "numerical failure:")
+        assert str(tmp_path / name) in line
+
     def test_order_too_high_for_both_fits_reports_the_larger_budget(self, tmp_path, capsys):
         # both filters come from one design, so the sample budget is checked
         # once, for the deterministic-block fit's l*(p+1) = 2*701 regressors
@@ -300,20 +332,23 @@ class TestPinnedOutputs:
         return main(["estimate", "--config", cfg_path, "--data", f"{out}/data.csv", "--out-dir", out])
 
     def test_blind_estimate_is_pinned(self, tmp_path):
+        # pick and digests taken when the partition pick became one pivoted
+        # pass over the innovations
         assert self.blind_pipeline(tmp_path, 3) == 0
         out = tmp_path / "o"
-        assert read_json(out / "partition.json")["partition"]["l_indices"] == [9, 12, 17, 20, 21, 22, 23, 24]
+        assert read_json(out / "partition.json")["partition"]["l_indices"] == [9, 17, 19, 20, 21, 22, 23, 24]
         assert {name: sha256(out / name) for name in ("decided_graph.json", "decided_graph.dot", "decided_graph.csv")} == {
-            "decided_graph.json": "78c550c936f8586cc0c86cb529aa930ce4a0f2561d72dc7ac43f5f9fe1192e3d",
-            "decided_graph.dot": "e18ccaa06eaa69544e51157244696add9166ccff0e2fc18f41e3800ff69722e8",
-            "decided_graph.csv": "bc820f55e222a720400029c67bf06e2ce5ee6e3a4d2ad8eb5b5384e40b603619",
+            "decided_graph.json": "e7279268a6760fd5868efef9c194777a6128074711362d5c18facd0a25b63cc4",
+            "decided_graph.dot": "5112eda926e5ee29fd2570f3ca10c5f5cf4c96b0a8c82f79558237c93b2a371f",
+            "decided_graph.csv": "ec1c1e156e7fa83c5a35ea829b23c614a2ce726149a662ee7c1192c01a6edd2f",
         }
 
     def test_blind_estimate_refusal_is_pinned(self, tmp_path, capsys):
-        assert self.blind_pipeline(tmp_path, 0) == 2
+        # seed 14 is the lowest generator seed of this shape that still refuses
+        assert self.blind_pipeline(tmp_path, 14) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: AmbiguousRank: no size-8 channel subset found whose lag window "
-            "explains the rest (best attempt leaves ratio 7.085e-02 >= 1.0e-04)\n"
+            "numerical failure: AmbiguousRank: lags 0..3 of the 8 pivoted channels do not "
+            "explain the rest (worst ratio 2.977e-02 >= 1.0e-04)\n"
         )
 
     def test_wide_run_experiment_is_pinned(self, tmp_path):
