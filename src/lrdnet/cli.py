@@ -118,6 +118,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("decision.correction must be 'none' or 'bonferroni'")
     _check_number(cfg, "partition.max_lag", 1)
     _check_number(cfg, "partition.rank_tol", fraction=True)
+    if not isinstance(cfg.get("outputs"), str):
+        raise ConfigError(f"outputs must be a directory path, got {cfg.get('outputs')!r}")
     return cfg
 
 
@@ -183,7 +185,10 @@ def _formats(arg: str) -> set:
 
 def _out_dir(args, cfg) -> Path:
     out = Path(args.out_dir if args.out_dir else cfg["outputs"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

@@ -420,12 +420,7 @@ class _CandidateStream:
         )
 
 
-def random_models(
-    configs: Sequence[GeneratorConfig],
-    horizon: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-    draws: list | None = None,
-) -> list[LrdnModel | GenerationFailed]:
+def random_models(configs: Sequence[GeneratorConfig], draws: list | None = None) -> list[LrdnModel | GenerationFailed]:
     """Draw one model per config in lock-step; deterministic in each seed.
 
     Slot k holds the model of ``configs[k]``, or the :class:`GenerationFailed`
@@ -446,7 +441,9 @@ def random_models(
     while pending:
         drawn = [streams[k].draw() for k in pending]
         _, passed = _check_table(
-            [g_l for _, g_l in drawn], [streams[k].sigma for k in pending], horizon, decay_tol, DEFAULT_COND_BOUND
+            [g_l for _, g_l in drawn],
+            [streams[k].sigma for k in pending],
+            DEFAULT_HORIZON, DEFAULT_DECAY_TOL, DEFAULT_COND_BOUND,
         )
         still = []
         for k, (g_ml, g_l), ok in zip(pending, drawn, passed.all(axis=1)):
@@ -466,13 +463,9 @@ def random_models(
     return out
 
 
-def random_model(
-    config: GeneratorConfig,
-    horizon: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-) -> LrdnModel:
+def random_model(config: GeneratorConfig) -> LrdnModel:
     """:func:`random_models` of one config; raises its ``GenerationFailed``."""
-    (result,) = random_models([config], horizon, decay_tol)
+    (result,) = random_models([config])
     if isinstance(result, GenerationFailed):
         raise result
     return result

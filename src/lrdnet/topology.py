@@ -6,12 +6,14 @@ the causal filter onto the full-rank block, a full-rank target uses the
 strict-past projection filter. Decisions are directional by construction and
 no symmetrization is ever applied.
 
-Every group test goes through one batched kernel that stacks the pairs of
-any number of estimates: :func:`edge_test` sends it one pair,
-:func:`edge_test_table` one (h_est, s_est) and :func:`decide_graphs` many, as
-the Monte-Carlo loop of ``run-experiment`` does. Per pair its arithmetic is
-that of a batch of one, so batching changes no statistic, p-value or
-decision.
+Every group test goes through one batched kernel that tests every (row,
+full-rank source) pair of any number of whole estimates:
+:func:`edge_test_table` sends it one (h_est, s_est), :func:`decide_graphs`
+many, as the Monte-Carlo loop of ``run-experiment`` does, and
+:func:`edge_test` one estimate, of which it returns one pair. Per pair its
+arithmetic is that of a batch of one, so batching changes no statistic,
+p-value or decision. The noiseless-row rule's levels, NORM_THRESHOLD and
+DETERMINISTIC_RESID_TOL, are module constants.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ NORM_THRESHOLD = 1e-6
 AMBIGUITY_GAP = 10.0
 # relative squared-norm tie band of the partition pivots; ties go to the lower index
 PIVOT_TIE_TOL = 1e-8
+# floor of the denominators of the partition's eigenvalue and residual ratios
+RATIO_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -57,68 +61,63 @@ class EdgeTestResult:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _group_tests(batch, norm_threshold: float, resid_tol: float):
-    """Group tests for several estimates in one batch.
+def _group_tests(ests, alphas):
+    """Group tests of every (row, source channel) pair of one or more
+    estimates in one batch, each estimate's pairs at its own level.
 
-    Each entry of ``batch`` is (est, rows, chans, alpha): the pairs
-    (rows[k], chans[k]) of one estimate (0-based row and source channel) and
-    the level they are tested at. The pairs of all entries are stacked, each
-    group size gets one condition number, solve and quadratic form over the
-    stack, and one F tail call covers every pair; per pair the arithmetic is
-    that of a batch of one.
+    An estimate's pairs are taken source-major: its k-th pair is row
+    k % num_rows and source channel k // num_rows. Estimates of one array
+    shape are stacked, each group size gets one condition number, solve and
+    quadratic form over the stack, and one F tail call covers every pair;
+    per pair the arithmetic is that of a batch of one.
 
-    Returns, per entry, the EdgeTestResult fields as arrays, in field order,
-    and the first pair of that entry (in the given order) that cannot be
-    tested as (source, target, exception), or None.
+    Returns the EdgeTestResult fields of all pairs as arrays in field
+    order, the offsets ``starts`` (estimate e's pairs are
+    starts[e]:starts[e + 1]), and the exception of each pair that cannot be
+    tested, by pair index.
     """
-    if not batch:
-        return []
-    ests = [entry[0] for entry in batch]
-    counts = [entry[1].size for entry in batch]
-    ends = np.cumsum(counts)
-    rows = np.concatenate([entry[1] for entry in batch])
-    chans = np.concatenate([entry[2] for entry in batch])
-    alpha = np.repeat([entry[3] for entry in batch], counts)
+    counts = [est.num_rows * est.l for est in ests]
+    starts = np.cumsum([0, *counts])  # each estimate's first pair
+    row_starts = np.cumsum([0, *(est.num_rows for est in ests)])  # its first row
+    n = starts[-1]
+    offsets = np.arange(n) - np.repeat(starts[:-1], counts)
+    chans, rows = np.divmod(offsets, np.repeat(np.diff(row_starts), counts))
+    alpha = np.repeat(alphas, counts)
     full_rank = np.repeat([est.target_block == L_BLOCK for est in ests], counts)
     T_eff = np.repeat([est.num_used_samples for est in ests], counts)
     m = np.repeat([est.m for est in ests], counts)
-    k_row = np.concatenate([est.n_regressors[r] for est, r, *_ in batch])
-    rss = np.concatenate([est.rss_full[r] for est, r, *_ in batch])
+    batch_rows = np.repeat(row_starts[:-1], counts) + rows
+    k_row = np.concatenate([est.n_regressors for est in ests])[batch_rows]
+    rss = np.concatenate([est.rss_full for est in ests])[batch_rows]
     sources = m + chans + 1
     targets = np.where(full_rank, m, 0) + rows + 1
     dof = T_eff - k_row
     insufficient = dof < 1
-    noiseless = ~insufficient & ~full_rank & (np.sqrt(rss / T_eff) <= resid_tol)
+    noiseless = ~insufficient & ~full_rank & (np.sqrt(rss / T_eff) <= DETERMINISTIC_RESID_TOL)
     tested = ~insufficient & ~noiseless
     first = (rows == chans) & full_rank  # own group starts at lag 1
 
-    # estimates of one array shape are stacked, so one fancy index gathers
-    # their pairs' coefficients and Gram-inverse blocks; pairs are then
-    # grouped by group size: indices, coefficients (one row per pair) and
-    # the blocks of the tested ones among them
-    shapes: dict[tuple, int] = {}
-    kind = [shapes.setdefault(est.coeffs.coeffs.shape + est.gram_blocks.shape, len(shapes)) for est in ests]
-    pair_kind = np.repeat(kind, counts)
-    owner = np.repeat(np.arange(len(ests)), counts)
-    slot = np.empty(len(ests), dtype=int)  # each estimate's place in its stack
+    # estimates of one array shape are stacked source-major, so the rows of
+    # the stack are their pairs in batch order; pairs are then grouped by
+    # group size: indices, coefficients (one row per pair) and the
+    # Gram-inverse blocks of the tested ones among them
+    shapes: dict[tuple, list] = {}
+    for e, est in enumerate(ests):
+        shapes.setdefault(est.coeffs.coeffs.shape, []).append(e)
     groups: dict[int, tuple[list, list, list]] = {}
-    for k in range(len(shapes)):
-        members = [e for e, of in enumerate(kind) if of == k]
-        slot[members] = np.arange(len(members))
-        coeffs = np.stack([ests[e].coeffs.coeffs for e in members])
-        gram = np.stack([ests[e].gram_blocks for e in members])
+    for (size, *_), members in shapes.items():
+        idx = np.concatenate([np.arange(starts[e], starts[e + 1]) for e in members])
+        coeffs = np.stack([ests[e].coeffs.coeffs.T for e in members]).reshape(idx.size, size)
+        gram = np.stack([ests[e].gram_blocks.swapaxes(0, 1) for e in members]).reshape(idx.size, size, size)
         for lag0 in (0, 1):
-            sel = np.flatnonzero((pair_kind == k) & (first == lag0))
-            if sel.size == 0:
+            sel = first[idx] == lag0
+            if not sel.any():
                 continue
-            beta = coeffs[slot[owner[sel]], lag0:, rows[sel], chans[sel]]
-            idx, betas, blocks = groups.setdefault(beta.shape[1], ([], [], []))
-            idx.append(sel)
-            betas.append(beta)
-            sel = sel[tested[sel]]
-            blocks.append(gram[slot[owner[sel]], rows[sel], chans[sel], lag0:, lag0:])
+            pair_idx, betas, blocks = groups.setdefault(size - lag0, ([], [], []))
+            pair_idx.append(idx[sel])
+            betas.append(coeffs[sel, lag0:])
+            blocks.append(gram[sel & tested[idx], lag0:, lag0:])
 
-    n = rows.size
     coeff_norm = np.empty(n)
     group_size = np.empty(n, dtype=int)
     cond = np.zeros(n)
@@ -145,38 +144,23 @@ def _group_tests(batch, norm_threshold: float, resid_tol: float):
     p_value[good] = stats.f.sf(statistic[good], group_size[good], dof[good])
     # on a noiseless deterministic row the F law is meaningless: decide by
     # the group coefficient norm and report the degenerate (inf, 0) or (0, 1)
-    decision = np.where(noiseless, coeff_norm > norm_threshold, p_value < alpha)
+    decision = np.where(noiseless, coeff_norm > NORM_THRESHOLD, p_value < alpha)
     statistic[noiseless & decision] = np.inf
     p_value[noiseless & decision] = 0.0
 
-    columns = (sources, targets, statistic, p_value, coeff_norm, decision)
-    bad = np.flatnonzero(insufficient | degenerate)
-    failures = {}  # entry -> its first pair that cannot be tested
-    for e, k in zip(owner[bad].tolist(), bad.tolist()):
-        if e in failures:
-            continue
+    failures = {}
+    for k in np.flatnonzero(insufficient | degenerate).tolist():
         if insufficient[k]:
-            exc = InsufficientData(f"no residual degrees of freedom (T'={T_eff[k]}, k={k_row[k]})")
+            failures[k] = InsufficientData(f"no residual degrees of freedom (T'={T_eff[k]}, k={k_row[k]})")
         else:
-            exc = DegenerateRestriction(
+            failures[k] = DegenerateRestriction(
                 f"group ({targets[k]}, {sources[k]}) Gram-inverse block is singular "
                 f"(cond {cond[k]:.3e})"
             )
-        failures[e] = (sources[k], targets[k], exc)
-    return [
-        (tuple(c[stop - count : stop] for c in columns), failures.get(e))
-        for e, (stop, count) in enumerate(zip(ends, counts))
-    ]
+    return (sources, targets, statistic, p_value, coeff_norm, decision), starts, failures
 
 
-def edge_test(
-    est: FilterEstimate,
-    target: int,
-    source: int,
-    alpha: float,
-    norm_threshold: float = NORM_THRESHOLD,
-    resid_tol: float = DETERMINISTIC_RESID_TOL,
-) -> EdgeTestResult:
+def edge_test(est: FilterEstimate, target: int, source: int, alpha: float) -> EdgeTestResult:
     """Group test for the directed edge source -> target (1-based node ids).
 
     The statistic is the standard nested-regression F for dropping the
@@ -185,9 +169,11 @@ def edge_test(
     restricted design). When the target row sits on a noiseless
     deterministic relation the residual scale is ~0 and the F law is
     meaningless, so the decision falls back to thresholding the group
-    coefficient norm; the reported (statistic, p_value) are then the
-    degenerate (inf, 0) or (0, 1) consistent with the decision. This is a
-    one-pair call into the batched kernel behind :func:`edge_test_table`.
+    coefficient norm against NORM_THRESHOLD; the reported (statistic,
+    p_value) are then the degenerate (inf, 0) or (0, 1) consistent with the
+    decision. The batched kernel behind :func:`edge_test_table` tests all of
+    the estimate's pairs, and this returns the one asked for; only that
+    pair's own failure raises.
     """
     m, l = est.m, est.l
     if not m + 1 <= source <= m + l:
@@ -200,25 +186,24 @@ def edge_test(
         if not m + 1 <= target <= m + l:
             raise ValueError(f"target {target} outside the full-rank block")
         row = target - m - 1
-    ((columns, failure),) = _group_tests(
-        [(est, np.array([row]), np.array([source - m - 1]), alpha)], norm_threshold, resid_tol
-    )
-    if failure is not None:
-        raise failure[-1]
-    return EdgeTestResult(*(c.item() for c in columns))
+    columns, _, failures = _group_tests([est], [alpha])
+    k = (source - m - 1) * est.num_rows + row
+    if k in failures:
+        raise failures[k]
+    return EdgeTestResult(*(c[k].item() for c in columns))
 
 
-def _pair_tests(pairs, alpha, correction, norm_threshold, resid_tol):
+def _pair_tests(pairs, alpha, correction):
     """Test every (target, full-rank source) pair of each (h_est, s_est) in
     one kernel call. Bonferroni divides alpha by each pair's own number of
-    tests. Returns, per (h_est, s_est), the result columns (h's pairs, then
-    s's, each source-major) and the error of its first untestable pair in
-    (source, target) order, or None.
+    tests. Returns, per (h_est, s_est), the result columns in (source,
+    target) order and the error of its first untestable pair in that order,
+    or None.
     """
     if correction not in (NO_CORRECTION, BONFERRONI):
         raise ValueError(f"unknown correction {correction!r}")
-    batch, owner = [], []
-    for k, (h_est, s_est) in enumerate(pairs):
+    ests, alphas = [], []
+    for h_est, s_est in pairs:
         if s_est.target_block != L_BLOCK:
             raise ValueError("s_est must be the full-rank-block estimate")
         if h_est is None:
@@ -233,18 +218,27 @@ def _pair_tests(pairs, alpha, correction, norm_threshold, resid_tol):
         alpha_eff = alpha / ((m + l) * l) if correction == BONFERRONI else alpha
         for est in (h_est, s_est):
             if est is not None:
-                chans, rows = np.divmod(np.arange(est.num_rows * l), est.num_rows)
-                batch.append((est, rows, chans, alpha_eff))
-                owner.append(k)
+                ests.append(est)
+                alphas.append(alpha_eff)
 
-    tests = [([], []) for _ in pairs]
-    for k, (columns, failure) in zip(owner, _group_tests(batch, norm_threshold, resid_tol)):
-        tests[k][0].append(columns)
-        if failure is not None:
-            tests[k][1].append(failure)
+    if not ests:
+        return []
+    columns, starts, failures = _group_tests(ests, alphas)
+    # each (h_est, s_est) in (source, target) order: per source, h's rows
+    # 1..m, then s's rows m+1..m+l
+    spans, order = iter(zip(starts[:-1], starts[1:])), []
+    for h_est, s_est in pairs:
+        blocks = [np.arange(*next(spans)).reshape(s_est.l, -1) for est in (h_est, s_est) if est is not None]
+        order.append(np.concatenate(blocks, axis=1).ravel())
+    bounds = np.cumsum([0, *(o.size for o in order)])
+    order = np.concatenate(order)
+    columns = [c[order] for c in columns]
     return [
-        ([np.concatenate(c) for c in zip(*columns)], min(failures, key=lambda f: f[:2])[-1] if failures else None)
-        for columns, failures in tests
+        (
+            [c[lo:hi] for c in columns],
+            next((failures[k] for k in order[lo:hi].tolist() if k in failures), None) if failures else None,
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 
 
@@ -253,8 +247,6 @@ def edge_test_table(
     s_est: FilterEstimate,
     alpha: float = DEFAULT_ALPHA,
     correction: str = NO_CORRECTION,
-    norm_threshold: float = NORM_THRESHOLD,
-    resid_tol: float = DETERMINISTIC_RESID_TOL,
 ) -> list[EdgeTestResult]:
     """Run the edge test over every (target, source) pair with a full-rank
     source, ordered by (source, target). Bonferroni divides alpha by the
@@ -262,19 +254,16 @@ def edge_test_table(
     deterministic block. All pairs are tested in one batch; a pair that
     cannot be tested raises for the first such pair in that order.
     """
-    ((columns, error),) = _pair_tests([(h_est, s_est)], alpha, correction, norm_threshold, resid_tol)
+    ((columns, error),) = _pair_tests([(h_est, s_est)], alpha, correction)
     if error is not None:
         raise error
-    order = np.lexsort((columns[1], columns[0]))
-    return [EdgeTestResult(*row) for row in zip(*(c[order].tolist() for c in columns))]
+    return [EdgeTestResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def decide_graphs(
     pairs,
     alpha: float = DEFAULT_ALPHA,
     correction: str = NO_CORRECTION,
-    norm_threshold: float = NORM_THRESHOLD,
-    resid_tol: float = DETERMINISTIC_RESID_TOL,
 ) -> list[DirectedGraph | LrdnError]:
     """Decided graphs of many (h_est, s_est) pairs, with every pair's edges
     tested in one batch. Each slot holds the graph :func:`decide_graph` gives
@@ -283,7 +272,7 @@ def decide_graphs(
     """
     return [
         error if error is not None else graph_from_decisions(s_est.m, s_est.l, columns[1], columns[0], columns[5])
-        for (_, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction, norm_threshold, resid_tol))
+        for (_, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction))
     ]
 
 
@@ -300,11 +289,9 @@ def decide_graph(
     s_est: FilterEstimate,
     alpha: float = DEFAULT_ALPHA,
     correction: str = NO_CORRECTION,
-    norm_threshold: float = NORM_THRESHOLD,
-    resid_tol: float = DETERMINISTIC_RESID_TOL,
 ) -> DirectedGraph:
     """Decided directed graph over nodes 1..m+l from the two estimates."""
-    (graph,) = decide_graphs([(h_est, s_est)], alpha, correction, norm_threshold, resid_tol)
+    (graph,) = decide_graphs([(h_est, s_est)], alpha, correction)
     if isinstance(graph, LrdnError):
         raise graph
     return graph
@@ -437,7 +424,7 @@ def _one_step_residual_rank(y: np.ndarray, q: int, rank_tol: float):
     beta, *_ = np.linalg.lstsq(X, targets, rcond=None)
     resid = targets - X @ beta
     lam = np.linalg.eigvalsh(resid.T @ resid / resid.shape[0])[::-1]
-    rel = lam / max(lam[0], 1e-300)
+    rel = lam / max(lam[0], RATIO_FLOOR)
     rank = int((rel > rank_tol).sum())
     return rank, rel, resid
 
@@ -474,7 +461,7 @@ def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partitio
     l, rel, innov = _one_step_residual_rank(y, q, rank_tol)
     if l < 1:
         raise AmbiguousRank("no channel carries innovation above the rank tolerance")
-    if l < n and rel[l - 1] / max(rel[l], 1e-300) < AMBIGUITY_GAP:
+    if l < n and rel[l - 1] / max(rel[l], RATIO_FLOOR) < AMBIGUITY_GAP:
         raise AmbiguousRank(
             f"innovation eigenvalues show no {AMBIGUITY_GAP:.0f}x gap around "
             f"rank_tol={rank_tol:.1e}: {rel[l - 1]:.3e} vs {rel[l]:.3e}"
@@ -500,7 +487,7 @@ def partition_select(data, max_lag: int = 8, rank_tol: float = 1e-4) -> Partitio
             f"(worst ratio {max_rest:.3e} >= {rank_tol:.1e})"
         )
     min_sel = min(float(_residual_ratios(y, [x for x in selected if x != s], [s], q)[0]) for s in selected)
-    gap = min_sel / max(max_rest, 1e-300)
+    gap = min_sel / max(max_rest, RATIO_FLOOR)
     if min_sel < rank_tol or gap < AMBIGUITY_GAP:
         raise AmbiguousRank(
             f"no {AMBIGUITY_GAP:.0f}x separation around rank_tol={rank_tol:.1e}: "

@@ -104,9 +104,9 @@ class FilterEstimate:
     channel's lags 0..order, which is all the group tests need. In the
     full-rank block a row's own lag 0 is not a regressor: its group is lags
     1..order, the block's trailing order x order corner. All blocks come from
-    one factorization of the shared lagged design (see :func:`estimate_filters`),
-    and :func:`lrdnet.topology.edge_test_table` tests every group at once as
-    batched array operations.
+    one factorization of the shared lagged design (see :func:`estimate_filters`).
+    The group tests of :mod:`lrdnet.topology` always take a whole estimate:
+    one batch tests every (row, source) group of it as array operations.
     """
 
     target_block: str
@@ -157,10 +157,10 @@ def lagged_design(y: np.ndarray, lags: range, intercept: bool = False) -> np.nda
     return X
 
 
-def _factor(X: np.ndarray, ridge: float, cond_bound: float):
+def _factor(X: np.ndarray, ridge: float):
     """Thin SVD of the design, X = U diag(s) V'; returns (u, s, vt, s**2 + ridge).
 
-    With ridge = 0 a Gram condition number above the bound raises
+    With ridge = 0 a Gram condition number above DEFAULT_COND_BOUND raises
     RankDeficientDesign; with ridge > 0 the regularized problem is solved.
     """
     if ridge < 0:
@@ -168,21 +168,16 @@ def _factor(X: np.ndarray, ridge: float, cond_bound: float):
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     if ridge == 0.0:
         smin = s[-1]
-        if smin == 0.0 or (s[0] / smin) ** 2 > cond_bound:
+        if smin == 0.0 or (s[0] / smin) ** 2 > DEFAULT_COND_BOUND:
             gram_cond = np.inf if smin == 0.0 else (s[0] / smin) ** 2
             raise RankDeficientDesign(
-                f"Gram condition number {gram_cond:.3e} exceeds {cond_bound:.1e}; "
+                f"Gram condition number {gram_cond:.3e} exceeds {DEFAULT_COND_BOUND:.1e}; "
                 "pass a positive ridge or drop collinear channels"
             )
     return u, s, vt, s**2 + ridge
 
 
-def estimate_filters(
-    data: TimeSeries,
-    order: int = 8,
-    ridge: float = 0.0,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> tuple[FilterEstimate | None, FilterEstimate]:
+def estimate_filters(data: TimeSeries, order: int = 8, ridge: float = 0.0) -> tuple[FilterEstimate | None, FilterEstimate]:
     """Fit both blocks' filters from one SVD of one lagged design X, lags
     0..order of the full-rank block; returns (h_est, s_est), with h_est None
     when the data has no deterministic block.
@@ -214,7 +209,7 @@ def estimate_filters(
             f"{data.num_samples} samples cannot support order {p} with {n_fit} regressors"
         )
     X = lagged_design(data.y_l, range(g))
-    u, s, vt, denom = _factor(X, ridge, cond_bound)
+    u, s, vt, denom = _factor(X, ridge)
     P = (vt.T / denom) @ vt
     rows = np.arange(l)
     diagonal_blocks = P.reshape(l, g, l, g)[rows, :, rows, :]  # each channel's lags 0..order
@@ -260,23 +255,13 @@ def estimate_filters(
     return h_est, s_est
 
 
-def estimate_h(
-    data: TimeSeries,
-    order: int = 8,
-    ridge: float = 0.0,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> FilterEstimate:
+def estimate_h(data: TimeSeries, order: int = 8, ridge: float = 0.0) -> FilterEstimate:
     """The deterministic-block filter of :func:`estimate_filters`."""
     if data.m < 1:
         raise ValueError("data has no deterministic block to fit")
-    return estimate_filters(data, order, ridge, cond_bound)[0]
+    return estimate_filters(data, order, ridge)[0]
 
 
-def estimate_s(
-    data: TimeSeries,
-    order: int = 8,
-    ridge: float = 0.0,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> FilterEstimate:
+def estimate_s(data: TimeSeries, order: int = 8, ridge: float = 0.0) -> FilterEstimate:
     """The full-rank-block filter of :func:`estimate_filters`."""
-    return estimate_filters(data, order, ridge, cond_bound)[1]
+    return estimate_filters(data, order, ridge)[1]

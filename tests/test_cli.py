@@ -107,6 +107,9 @@ class TestConfig:
             ({"partition": {"max_lag": "x"}}, "partition.max_lag"),
             ({"partition": {"max_lag": -1}}, "partition.max_lag"),
             ({"partition": {"max_lag": 2.5}}, "partition.max_lag"),
+            ({"outputs": 5}, "outputs"),
+            ({"outputs": ["a"]}, "outputs"),
+            ({"outputs": None}, "outputs"),
         ],
     )
     def test_malformed_config_is_one_line_error(self, tmp_path, override, message):
@@ -116,6 +119,13 @@ class TestConfig:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.strip().splitlines()
         assert line.startswith("config error:") and message in line
+
+    def test_output_directory_under_a_file_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert main(["run-experiment", "--trials", "1", "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"config error: cannot create output directory {out}:")
 
     def test_negative_seed_flag_is_config_error(self, tmp_path):
         assert main(["run-experiment", "--seed", "-1", "--out-dir", str(tmp_path / "o")]) == 1
@@ -257,6 +267,7 @@ class TestPipeline:
             ("compare", "graph.json", '{"num_nodes": 1e400, "m": 1, "edges": []}', 1),
             ("compare", "graph.json", '{"num_nodes": 2, "m": 1, "edges": []}', 1),
             ("estimate", "data.csv", "t\n1\n2\n", 2),
+            ("estimate", "o", "", 1),  # a file where the output directory goes
         ],
     )
     def test_malformed_input_file_is_one_line_error(self, tmp_path, command, name, content, code):

@@ -14,8 +14,7 @@ from lrdnet.model import DirectedGraph, LrdnModel, random_model, true_graph
 from lrdnet.polymat import PolynomialMatrix
 from lrdnet.sim import TimeSeries, simulate
 from lrdnet.topology import (
-    DETERMINISTIC_RESID_TOL,
-    NORM_THRESHOLD,
+    BONFERRONI,
     EdgeTestResult,
     Partition,
     _group_tests,
@@ -189,6 +188,16 @@ def reference_edge_test(est, target, source, alpha):
     return EdgeTestResult(source, target, f, p_value, norm, p_value < alpha)
 
 
+def assert_matches_reference(got, ref):
+    assert (got.source, got.target, got.decision) == (ref.source, ref.target, ref.decision)
+    if np.isinf(ref.statistic):
+        assert got.statistic == ref.statistic
+    else:
+        assert abs(got.statistic - ref.statistic) <= 1e-9 * max(1.0, ref.statistic)
+    assert abs(got.p_value - ref.p_value) < 1e-10
+    assert got.coeff_norm == pytest.approx(ref.coeff_norm, rel=1e-12, abs=1e-300)
+
+
 def reference_table(h_est, s_est, alpha):
     m, l = s_est.m, s_est.l
     return [
@@ -215,13 +224,7 @@ class TestBatchedEdgeTable:
                     (r.source, r.target) for r in expected
                 ]
                 for got, ref in zip(table, expected):
-                    assert got.decision == ref.decision
-                    if np.isinf(ref.statistic):
-                        assert got.statistic == ref.statistic
-                    else:
-                        assert abs(got.statistic - ref.statistic) <= 1e-9 * max(1.0, ref.statistic)
-                    assert abs(got.p_value - ref.p_value) < 1e-10
-                    assert got.coeff_norm == pytest.approx(ref.coeff_norm, rel=1e-12, abs=1e-300)
+                    assert_matches_reference(got, ref)
 
     def test_noiseless_deterministic_rows_take_the_norm_rule(self):
         model = random_model(small_config(seed=1))
@@ -236,6 +239,29 @@ class TestBatchedEdgeTable:
         assert {(r.target, r.source) for r in m_rows if r.decision} == {
             (i + 1, model.m + j + 1) for i, j in np.argwhere(model.g_ml.support())
         }
+
+    def test_untestable_pairs_leave_the_rest_of_their_estimate_alone(self):
+        # the kernel tests all pairs of an estimate at once: edge_test must
+        # still answer every testable pair and raise only for its own pair
+        h_est, s_est = copy.deepcopy(estimate_pool()[0])
+        m = s_est.m
+        s_est.gram_blocks[0, 1] = 0.0
+        s_est.n_regressors[2] = s_est.num_used_samples
+        noisy_h = estimate_pool()[8][0]  # measurement noise, one zeroed block
+        untestable = {(m + 1, m + 2): DegenerateRestriction, (2, m + 3): DegenerateRestriction}
+        untestable.update(dict.fromkeys(((m + 3, m + j) for j in (1, 2, 3)), InsufficientData))
+        for est in (s_est, noisy_h):
+            first_target = 1 if est is noisy_h else m + 1
+            for target in range(first_target, first_target + est.num_rows):
+                for source in range(m + 1, m + est.l + 1):
+                    if (target, source) in untestable:
+                        with pytest.raises(untestable[target, source]):
+                            edge_test(est, target, source, alpha=0.05)
+                    else:
+                        assert_matches_reference(
+                            edge_test(est, target, source, alpha=0.05),
+                            reference_edge_test(est, target, source, 0.05),
+                        )
 
     def test_degenerate_block_raises_for_the_first_pair_in_order(self):
         model = random_model(small_config(seed=2))
@@ -327,40 +353,35 @@ class TestBatchInvariance:
     @given(picks=pool_picks, alpha=st.sampled_from([0.01, 0.05, 0.5]), correction=st.sampled_from(["none", "bonferroni"]))
     def test_batched_table_equals_a_batch_of_one(self, picks, alpha, correction):
         pairs = [estimate_pool()[k] for k in picks]
-        for (h_est, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction, NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)):
+        for (h_est, s_est), (columns, error) in zip(pairs, _pair_tests(pairs, alpha, correction)):
             if error is not None:
                 with pytest.raises(type(error)) as alone:
                     edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
                 assert str(alone.value) == str(error)
                 continue
             table = edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
-            order = np.lexsort((columns[1], columns[0]))
-            assert np.array_equal(columns[2][order], [r.statistic for r in table])
-            assert np.array_equal(columns[3][order], [r.p_value for r in table])
+            assert np.array_equal(columns[2], [r.statistic for r in table])
+            assert np.array_equal(columns[3], [r.p_value for r in table])
 
     @settings(max_examples=40, deadline=None)
-    @given(picks=pool_picks, data=st.data())
-    def test_kernel_columns_equal_a_batch_of_one(self, picks, data):
-        # random pair subsets in random order, one level per estimate
-        batch = []
-        for k in picks:
-            for est in estimate_pool()[k]:
-                if est is None:
-                    continue
-                n = est.num_rows * est.l
-                keep = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-                rows, chans = keep % est.num_rows, keep // est.num_rows
-                batch.append((est, rows, chans, data.draw(st.sampled_from([1e-3, 0.05, 0.5, 0.9]))))
-        together = _group_tests(batch, NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)
-        for entry, (columns, failure) in zip(batch, together):
-            ((alone, alone_failure),) = _group_tests([entry], NORM_THRESHOLD, DETERMINISTIC_RESID_TOL)
+    @given(data=st.data())
+    def test_kernel_columns_equal_a_batch_of_one(self, data):
+        # random subsets of whole estimates in random order, one level each
+        pool = [est for pair in estimate_pool() for est in pair if est is not None]
+        ests = [pool[k] for k in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
+        alphas = [data.draw(st.sampled_from([1e-3, 0.05, 0.5, 0.9])) for _ in ests]
+        columns, starts, failures = _group_tests(ests, alphas)
+        assert starts.tolist() == np.cumsum([0, *(est.num_rows * est.l for est in ests)]).tolist()
+        for est, alpha, start, stop in zip(ests, alphas, starts, starts[1:]):
+            alone, _, alone_failures = _group_tests([est], [alpha])
             for got, expected in zip(columns, alone):
-                assert np.array_equal(got, expected)
-            if failure is None:
-                assert alone_failure is None
-            else:
-                assert failure[:2] == alone_failure[:2]
-                assert (type(failure[2]), str(failure[2])) == (type(alone_failure[2]), str(alone_failure[2]))
+                assert np.array_equal(got[start:stop], expected)
+            # source-major: pair k is row k % num_rows, source channel k // num_rows
+            assert np.array_equal(alone[0], est.m + 1 + np.arange(est.num_rows * est.l) // est.num_rows)
+            failed = {k - start: exc for k, exc in failures.items() if start <= k < stop}
+            assert failed.keys() == alone_failures.keys()
+            for k, exc in failed.items():
+                assert (type(exc), str(exc)) == (type(alone_failures[k]), str(alone_failures[k]))
 
     def test_empty_batch(self):
         assert decide_graphs([]) == []
@@ -442,6 +463,43 @@ class TestDecideGraph:
             rates.append(hits / 8)
         assert rates[0] <= rates[1] <= rates[2]
         assert rates[2] >= 0.9
+
+
+@functools.cache
+def relabelling_sets():
+    """Data sets for the relabelling test: the 12-node benchmark shape at
+    T=300, a small model at T=1500, and the latter with measurement noise on
+    its deterministic channels, so that their rows take the F path."""
+    big = simulate(random_model(twelve_node_config(seed=500)), num_samples=300, seed=910)
+    small = simulate(random_model(small_config(seed=1)), num_samples=1500, seed=911)
+    data = small.data.copy()
+    data[:, : small.m] += 0.1 * np.random.default_rng(7).standard_normal((small.num_samples, small.m))
+    return big, small, TimeSeries(data=data, m=small.m, l=small.l)
+
+
+class TestRelabelling:
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.integers(0, 2), alpha=st.sampled_from([0.01, 0.05]), data=st.data())
+    def test_permuted_channels_give_the_same_graph(self, case, alpha, data):
+        # permute the deterministic and the full-rank channels among
+        # themselves, decide, and map the node ids back; roundoff follows the
+        # column order, so statistics agree to 1e-9 and decisions wherever
+        # the p-value is not within 1e-9 of the level
+        ts = relabelling_sets()[case]
+        m, l = ts.m, ts.l
+        old = [*data.draw(st.permutations(range(m))), *(m + j for j in data.draw(st.permutations(range(l))))]
+        permuted = TimeSeries(data=ts.data[:, old], m=m, l=l)
+        fits = [estimate_filters(x, order=2) for x in (ts, permuted)]
+        original = {(r.target, r.source): r for r in edge_test_table(*fits[0], alpha=alpha, correction=BONFERRONI)}
+        alpha_eff = alpha / ((m + l) * l)
+        near = {key for key, r in original.items() if abs(r.p_value - alpha_eff) <= 1e-9}
+        for r in edge_test_table(*fits[1], alpha=alpha, correction=BONFERRONI):
+            key = (old[r.target - 1] + 1, old[r.source - 1] + 1)
+            assert r.statistic == pytest.approx(original[key].statistic, rel=1e-9)
+            assert key in near or r.decision == original[key].decision
+        graphs = [decide_graph(*fit, alpha=alpha, correction=BONFERRONI) for fit in fits]
+        relabelled = {(old[i - 1] + 1, old[j - 1] + 1) for i, j in graphs[1].edges}
+        assert relabelled - near == graphs[0].edges - near
 
 
 class TestCompareGraphs:
