@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -468,7 +469,10 @@ def nonnegative_seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lrdnet argument parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call reuses it."""
     parser = _Parser(prog="lrdnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

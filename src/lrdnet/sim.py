@@ -203,14 +203,20 @@ def simulate_from_factor(
 
 
 def write_csv(ts: TimeSeries, path, metadata: dict | None = None) -> Path:
-    """Write samples as CSV plus a metadata sidecar <path>.meta.json."""
+    """Write samples as CSV plus a metadata sidecar <path>.meta.json.
+
+    The header is ``t,y1,...,yn`` and each row is the 1-based sample index
+    followed by ``repr`` of every sample, so the file reads back to the same
+    bits. Lines end in CRLF. The bytes are those that ``csv.writer`` writes
+    for the same cells: no cell holds a delimiter, quote or line break, so
+    none is quoted.
+    """
     path = Path(path)
     n = ts.m + ts.l
+    lines = [",".join(["t", *(f"y{j}" for j in range(1, n + 1))])]
+    lines += [",".join(map(repr, [t, *row])) for t, row in enumerate(ts.data.tolist(), 1)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"y{j}" for j in range(1, n + 1)])
-        for t in range(ts.num_samples):
-            writer.writerow([t + 1] + [repr(float(v)) for v in ts.data[t]])
+        fh.write("\r\n".join(lines) + "\r\n")
     meta = {
         "m": ts.m,
         "l": ts.l,
@@ -231,8 +237,12 @@ def read_csv(path) -> tuple[np.ndarray, dict | None]:
     The header must hold 't' and at least one channel, every data row as
     many cells as the header, and every sample cell a finite number;
     otherwise :class:`InsufficientData` names the file and line. Lines
-    starting with '#' are skipped. A sidecar that is not a JSON object
-    raises ValueError naming the sidecar.
+    starting with '#' and blank lines are skipped. Cells are split by
+    ``csv.reader`` (so quoted cells are read) and converted with ``float``,
+    which allows surrounding whitespace. Of several faults the first in file
+    order is reported, except that non-finite values are looked for only
+    once every row has been read. A sidecar that is not a JSON object raises
+    ValueError naming the sidecar.
     """
     path = Path(path)
     line = 0  # file line of the last line handed to the CSV reader, for messages
@@ -243,27 +253,40 @@ def read_csv(path) -> tuple[np.ndarray, dict | None]:
             if not text.startswith("#"):
                 yield text
 
+    # one structural pass up to the first fault in the file's structure;
+    # the sample cells read before it are converted in one call below
+    cells, numbers, fault = [], [], None
     with path.open(newline="") as fh:
         reader = csv.reader(data_lines(fh))
-        header = next(reader, None)
-        if not header or header[0].strip() != "t":
-            raise InsufficientData(f"{path} is not a sample CSV (missing 't' header)")
-        if len(header) < 2:
-            raise InsufficientData(f"{path} has no sample columns, only 't'")
-        rows, numbers = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InsufficientData(f"{path}, line {line}: {len(row)} cells, header has {len(header)}")
+        try:
+            header = next(reader, None)
+            if not header or header[0].strip() != "t":
+                raise InsufficientData(f"{path} is not a sample CSV (missing 't' header)")
+            if len(header) < 2:
+                raise InsufficientData(f"{path} has no sample columns, only 't'")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    fault = f"{len(row)} cells, header has {len(header)}"
+                    break
+                cells += row[1:]
+                numbers.append(line)
+        except csv.Error as exc:  # a cell over the reader's size limit; before Python 3.11, a NUL
+            fault = str(exc)
+    try:
+        data = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
             try:
-                rows.append([float(v) for v in row[1:]])
+                float(cell)
             except ValueError as exc:
-                raise InsufficientData(f"{path}, line {line}: {exc}") from None
-            numbers.append(line)
-    if not rows:
+                raise InsufficientData(f"{path}, line {numbers[i // (len(header) - 1)]}: {exc}") from None
+    if fault is not None:
+        raise InsufficientData(f"{path}, line {line}: {fault}")
+    if not numbers:
         raise InsufficientData(f"{path} contains no samples")
-    data = np.asarray(rows, dtype=float)
+    data = data.reshape(len(numbers), len(header) - 1)
     finite = np.isfinite(data)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

@@ -1,15 +1,22 @@
 """Command-line pipeline: file round trips, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrdnet
 import lrdnet.cli
@@ -229,7 +236,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "cell, bad",
-        [("nan", "non-finite value"), (None, "4 cells, header has 5"), ("abc", "could not convert")],
+        [
+            ("nan", "non-finite value"),
+            (None, "4 cells, header has 5"),
+            ("abc", "could not convert"),
+            pytest.param("1" * 131073, "field larger than field limit", id="1x131073-field limit"),
+        ],
     )
     def test_malformed_csv_is_one_line_error(self, tmp_path, cell, bad):
         y = np.random.default_rng(3).standard_normal((2000, 4))
@@ -322,6 +334,84 @@ class TestPipeline:
         assert len(decided["edges"]) <= 1  # null edges at Bonferroni-corrected alpha
 
 
+# a cell far longer than any sample: below, at and above csv.reader's
+# 131072-character field limit, as a number float reads or as junk
+long_cells = st.builds(
+    lambda form, size: form(size),
+    st.sampled_from([
+        lambda n: "0" * (n - 3) + "1.5",
+        lambda n: " " * (n - 5) + "0.5  ",
+        lambda n: "1" * n,
+        lambda n: "x" * n,
+    ]),
+    st.sampled_from([1000, 131072, 131073, 200000]),
+)
+
+
+@st.composite
+def estimate_inputs(draw):
+    """CSV text of white noise with one very long cell and a few faults
+    (junk, missing or extra cells, comment or blank lines), with LF or CRLF
+    line ends."""
+    rows, width = draw(st.integers(0, 60)), draw(st.integers(1, 4))
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, width))
+    table = [["t", *(f"y{j}" for j in range(1, width + 1))]]
+    table += [[str(t + 1), *map(repr, y[t].tolist())] for t in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(table) - 1))
+        fault = draw(st.sampled_from(["junk", "drop", "extra", "comment", "blank"]))
+        if fault == "junk":
+            cell = draw(st.integers(0, len(table[row]) - 1))
+            table[row][cell] = draw(st.sampled_from(["abc", "", "nan", '"1,5"', " 2 ", "1e999"]))
+        elif fault == "drop":
+            table[row] = table[row][:-1] or [""]
+        elif fault == "extra":
+            table[row].append("0.5")
+        else:
+            table.insert(row, ["#" if fault == "comment" else ""])
+    row = draw(st.integers(0, len(table) - 1))
+    table[row][draw(st.integers(0, len(table[row]) - 1))] = draw(long_cells)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(",".join(cells) for cells in table) + end
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(text=estimate_inputs())
+    def test_estimate_on_generated_csv_ends_in_an_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as folder:
+            data = Path(folder) / "data.csv"
+            data.write_text(text, newline="")
+            cfg_path = write_config(Path(folder), partition={"max_lag": 2})
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["estimate", "--config", cfg_path, "--data", str(data), "--out-dir", str(Path(folder) / "o")])
+        assert code in (0, 1, 2)
+        # a warning would reach stderr in a real process
+        assert not caught, [str(w.message) for w in caught]
+        assert len(err.getvalue().splitlines()) == (code != 0)
+        if "field larger than field limit" in err.getvalue():
+            assert code == 2 and str(data) in err.getvalue()
+
+    def test_parser_error_then_valid_call_behave_as_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process; an error must leave nothing
+        # behind that a later call in the same process would see
+        out = tmp_path / "o"
+        calls = [["estimate", "--format", "xml"], ["generate", "--seed", "2", "--format", "dot", "--out-dir", str(out)]]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        shutil.rmtree(out)
+        fresh = [(proc.returncode, proc.stdout, proc.stderr) for proc in (run_cli(*argv) for argv in calls)]
+        assert in_process == fresh
+        assert in_process[0][0] == 1 and in_process[1][0] == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == files
+
+
 UNLABELED24 = {
     "generator": {"m": 16, "l": 8, "support_ml": 36, "support_l": 12},
     "sim": {"num_samples": 1000},
@@ -334,13 +424,24 @@ class TestPinnedOutputs:
     # one SVD; only roundoff-robust outputs (decisions, partitions, counts)
     # are pinned, so another BLAS build gives the same bytes
 
-    def blind_pipeline(self, tmp_path, seed):
+    def blind_data(self, tmp_path, seed):
+        """generate --seed seed, then simulate --seed seed + 100; the config
+        and the sample CSV's path."""
         cfg_path = write_config(tmp_path, **UNLABELED24)
         out = str(tmp_path / "o")
         assert main(["generate", "--config", cfg_path, "--seed", str(seed), "--out-dir", out]) == 0
         assert main(["simulate", "--config", cfg_path, "--model", f"{out}/model.json",
                      "--seed", str(seed + 100), "--out-dir", out]) == 0
-        return main(["estimate", "--config", cfg_path, "--data", f"{out}/data.csv", "--out-dir", out])
+        return cfg_path, f"{out}/data.csv"
+
+    def blind_pipeline(self, tmp_path, seed):
+        cfg_path, data = self.blind_data(tmp_path, seed)
+        return main(["estimate", "--config", cfg_path, "--data", data, "--out-dir", str(tmp_path / "o")])
+
+    def test_blind_sample_csv_is_pinned(self, tmp_path):
+        # digest taken when csv.writer still wrote the sample file
+        _, data = self.blind_data(tmp_path, 3)
+        assert sha256(data) == "44a26e9649e513fd4d62a592f1b36c831b91517a153562bf07ae10120d31f1a1"
 
     def test_blind_estimate_is_pinned(self, tmp_path):
         # pick and digests taken when the partition pick became one pivoted

@@ -1,5 +1,10 @@
 """Trajectory generation: distributional checks, determinism, CSV round trip."""
 
+import csv
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -239,6 +244,114 @@ class TestSimulateFromFactor:
             simulate_from_factor(PolynomialMatrix.identity(2), np.ones(3), num_samples=10)
 
 
+def reference_write_csv(ts, path):
+    """The sample file as ``csv.writer`` writes it: the reference for the
+    bytes of :func:`write_csv` (without the sidecar)."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"y{j}" for j in range(1, ts.m + ts.l + 1)])
+        for t in range(ts.num_samples):
+            writer.writerow([t + 1] + [repr(float(v)) for v in ts.data[t]])
+
+
+def reference_read_csv(path):
+    """The sample matrix as ``csv.reader`` and one float list per row read
+    it: the reference for the arrays and messages of :func:`read_csv`
+    (without the sidecar). A ``csv.Error`` escapes it."""
+    path = Path(path)
+    line = 0
+
+    def data_lines(fh):
+        nonlocal line
+        for line, text in enumerate(fh, 1):
+            if not text.startswith("#"):
+                yield text
+
+    with path.open(newline="") as fh:
+        reader = csv.reader(data_lines(fh))
+        header = next(reader, None)
+        if not header or header[0].strip() != "t":
+            raise InsufficientData(f"{path} is not a sample CSV (missing 't' header)")
+        if len(header) < 2:
+            raise InsufficientData(f"{path} has no sample columns, only 't'")
+        rows, numbers = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InsufficientData(f"{path}, line {line}: {len(row)} cells, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise InsufficientData(f"{path}, line {line}: {exc}") from None
+            numbers.append(line)
+    if not rows:
+        raise InsufficientData(f"{path} contains no samples")
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise InsufficientData(f"{path}, line {numbers[r]}: non-finite value in column {header[c + 1]!r}")
+    return data
+
+
+def read_array(path):
+    return read_csv(path)[0]
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: the array's shape and bits, or the
+    refusal's message."""
+    try:
+        data = read(path)
+    except InsufficientData as exc:
+        return "refused", str(exc)
+    return "read", data.shape, data.tobytes()
+
+
+# values at the edges of float repr: signed zero, the smallest subnormal,
+# both sides of the switches to exponent form at 1e-5 and 1e16, integral
+# floats, the largest float and the non-finite ones
+REPR_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-06, 1e-4, 1e16, 9999999999999998.0, 1e15,
+    3.0, -7.0, 2.0**53, 1e22, 1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+]
+sample_values = st.one_of(st.floats(), st.sampled_from(REPR_EDGES), st.integers(-(2**60), 2**60).map(float))
+
+
+@st.composite
+def sample_series(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    values = draw(st.lists(sample_values, min_size=rows * cols, max_size=rows * cols))
+    m = draw(st.integers(0, cols))
+    return TimeSeries(data=np.array(values, dtype=float).reshape(rows, cols), m=m, l=cols - m)
+
+
+# CSV text: cells that float reads, with surrounding space or quoted, and
+# cells it refuses; lines joined by LF, CRLF or CR, with comments and blanks
+csv_cells = st.one_of(
+    sample_values.map(repr),
+    st.sampled_from(["", " ", "abc", " 0.5 ", "\t-2", '"0.5"', '"1,5"', '"0.5\n"', "1_0", "nan", "-0.0", '"', "\x00"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = ["t," + ",".join(f"y{j}" for j in range(1, width + 1))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "short", "comment", "blank"]))
+        if kind == "comment":
+            lines.append("# " + draw(csv_cells))
+        elif kind == "blank":
+            lines.append("")
+        else:
+            n = width - (kind == "short")
+            lines.append(",".join([str(len(lines)), *draw(st.lists(csv_cells, min_size=n, max_size=n))]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
 class TestCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
         model = random_model(small_config(seed=10))
@@ -262,7 +375,13 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "row, reason",
-        [("3,0.5", "2 cells"), ("3,0.5,abc", "abc"), ("3,nan,0.5", "non-finite"), ("3,0.5,inf", "non-finite")],
+        [
+            ("3,0.5", "2 cells"),
+            ("3,0.5,abc", "abc"),
+            ("3,nan,0.5", "non-finite"),
+            ("3,0.5,inf", "non-finite"),
+            pytest.param("3,0.5," + "1" * 131073, "field larger than field limit", id="3,0.5,1x131073-field limit"),
+        ],
     )
     def test_bad_rows_rejected_with_line(self, tmp_path, row, reason):
         path = tmp_path / "bad.csv"
@@ -278,3 +397,66 @@ class TestCsv:
         path.write_text("t,y1\n")
         with pytest.raises(InsufficientData):
             read_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ts=sample_series())
+    @example(ts=TimeSeries(data=np.array([REPR_EDGES[:8], REPR_EDGES[8:16]]), m=3, l=5))
+    @example(ts=TimeSeries(data=np.zeros((2, 0)), m=0, l=0))
+    def test_file_and_array_match_the_csv_module(self, ts):
+        with tempfile.TemporaryDirectory() as folder:
+            new, ref = Path(folder) / "new.csv", Path(folder) / "ref.csv"
+            write_csv(ts, new)
+            reference_write_csv(ts, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            outcome = read_outcome(read_array, new)
+            assert outcome == read_outcome(reference_read_csv, new)
+        if ts.data.shape[1] and np.isfinite(ts.data).all():
+            assert outcome == ("read", ts.data.shape, ts.data.tobytes())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("# a\nt,y1,y2\n# b, c\n1,0.5,0.25\n#\n2,1,2\n", id="comments"),
+            pytest.param("t,y1,y2\n\n1,0.5,0.25\n\n\n2,1,2\n\n", id="blank lines"),
+            pytest.param("\nt,y1\n1,0.5\n", id="blank line before the header"),
+            pytest.param("t,y1,y2\n1,0.5,0.25\n2,-0.0,3\n", id="LF"),
+            pytest.param("t,y1,y2\r\n1,0.5,0.25\r\n2,-0.0,3\r\n", id="CRLF"),
+            pytest.param("t,y1,y2\r1,0.5,0.25\r2,-0.0,3\r", id="CR"),
+            pytest.param(" t ,y1,y2\n1, 0.5 ,\t-2 \n", id="spaces around a number"),
+            pytest.param('t,y1,y2\n1,"0.5",0.25\n', id="quoted cell"),
+            pytest.param('t,y1\n1,"0.5\n"\n2,3\n', id="quoted cell over two lines"),
+            pytest.param('t,y1\n1,"1,5"\n', id="quoted comma"),
+            pytest.param("t,y1,y2\n1,0.5,0.25\n2,1e-5,1e16", id="no trailing newline"),
+            pytest.param("t,y1\nx,1_000\n", id="underscore and a free t cell"),
+            pytest.param(
+                "t,y1\n1,0.5\x00\n",
+                id="NUL",
+                marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv.reader refuses NUL before Python 3.11"),
+            ),
+            pytest.param("t,y1,y2\n1,0.1,nan\n2,0.1\n", id="nan before short row"),
+            pytest.param("t,y1,y2\n1,0.1,inf\n2,x,0.2\n", id="inf before bad float"),
+            pytest.param("t,y1\n1,0.5,\n", id="long row"),
+            pytest.param("t\n1\n", id="no channel"),
+            pytest.param("t,y1\n", id="no samples"),
+            pytest.param("", id="empty file"),
+        ],
+    )
+    def test_reader_matches_the_csv_module_on_crafted_files(self, tmp_path, text):
+        path = tmp_path / "crafted.csv"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_array, path) == read_outcome(reference_read_csv, path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # a bad float on line 5, then a short row on line 9
+        path = tmp_path / "two_faults.csv"
+        path.write_text("# c\nt,y1,y2\n1,0.1,0.2\n\n2,abc,0.3\n3,0.1,0.2\n#\n4,0.1,0.2\n5,0.1\n")
+        expected = ("refused", f"{path}, line 5: could not convert string to float: 'abc'")
+        assert read_outcome(read_array, path) == read_outcome(reference_read_csv, path) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts())
+    def test_reader_matches_the_csv_module_on_generated_files(self, text):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "generated.csv"
+            path.write_bytes(text.encode())
+            assert read_outcome(read_array, path) == read_outcome(reference_read_csv, path)
