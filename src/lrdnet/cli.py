@@ -34,10 +34,10 @@ from .model import (
 from .model import DirectedGraph
 from .sim import read_csv, simulate, simulate_accepted, write_csv
 from .topology import (
+    _pair_tests,
     apply_partition,
     compare_graphs,
     decide_graphs,
-    edge_test_table,
     graph_from_decisions,
     partition_select,
     support_graph,
@@ -119,6 +119,10 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("decision.correction must be 'none' or 'bonferroni'")
     _check_number(cfg, "partition.max_lag", 1)
     _check_number(cfg, "partition.rank_tol", fraction=True)
+    flags = {"fixed_model": cfg.get("fixed_model"), "generator.lag0_offdiag": cfg["generator"].get("lag0_offdiag")}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
     if not isinstance(cfg.get("outputs"), str):
         raise ConfigError(f"outputs must be a directory path, got {cfg.get('outputs')!r}")
     return cfg
@@ -282,12 +286,13 @@ def cmd_estimate(args) -> int:
 
     alpha = cfg["decision"]["alpha"]
     correction = cfg["decision"]["correction"]
-    table = edge_test_table(h_est, s_est, alpha=alpha, correction=correction)
-    graph = graph_from_decisions(
-        ts.m, ts.l, [r.target for r in table], [r.source for r in table], [r.decision for r in table]
-    )
+    ((columns, error),) = _pair_tests([(h_est, s_est)], alpha, correction)
+    if error is not None:
+        raise error
+    sources, targets, *_, decision = columns
+    graph = graph_from_decisions(ts.m, ts.l, targets, sources, decision)
     _write_graph(out, "decided_graph", graph, chash, seed, _formats(args.format))
-    write_edge_tests_csv(table, out / "edge_tests.csv", comment=f"config_hash={chash} seed={seed}")
+    write_edge_tests_csv(columns, out / "edge_tests.csv", comment=f"config_hash={chash} seed={seed}")
     print(
         f"partition l_indices={list(part.l_indices)}; decided {len(graph.edges)} edges "
         f"(alpha={alpha}, correction={correction})"
@@ -476,33 +481,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lrdnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *flags):
         p.add_argument("--config", help="JSON config merged over the defaults")
-        p.add_argument("--seed", type=nonnegative_seed, help="override the config seed")
+        if "seed" in flags:
+            p.add_argument("--seed", type=nonnegative_seed, help="override the config seed")
         p.add_argument("--out-dir", help="output directory (default from config)")
-        p.add_argument(
-            "--format",
-            choices=["json", "csv", "dot", "all"],
-            default="all",
-            help="graph export format(s)",
-        )
+        if "format" in flags:
+            p.add_argument(
+                "--format",
+                choices=["json", "csv", "dot", "all"],
+                default="all",
+                help="graph export format(s)",
+            )
 
     p = sub.add_parser("generate", help="draw a model and write it with its true graph")
-    common(p)
+    common(p, "seed", "format")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="simulate a trajectory from a model file")
-    common(p)
+    common(p, "seed")
     p.add_argument("--model", required=True, help="model JSON from 'generate'")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate filters and decide a graph from CSV data")
-    common(p)
+    common(p, "format")
     p.add_argument("--data", required=True, help="sample CSV")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("decide", help="population support decision from a model file")
-    common(p)
+    common(p, "format")
     p.add_argument("--model", required=True, help="model JSON")
     p.set_defaults(func=cmd_decide)
 
@@ -513,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("run-experiment", help="Monte-Carlo generate/simulate/estimate/decide loop")
-    common(p)
+    common(p, "seed")
     p.add_argument("--trials", type=int, help="override the trial count")
     p.set_defaults(func=cmd_run_experiment)
 

@@ -298,24 +298,12 @@ class GeneratorConfig:
         for ch in self.pure_noise:
             if not 1 <= ch <= self.l:
                 raise ValueError(f"pure-noise channel {ch} out of range [1, {self.l}]")
-
-    def to_dict(self) -> dict:
-        d = {
-            "m": self.m,
-            "l": self.l,
-            "degree_ml": self.degree_ml,
-            "degree_l": self.degree_l,
-            "coeff_min": self.coeff_min,
-            "coeff_max": self.coeff_max,
-            "max_rejections": self.max_rejections,
-            "rng_seed": self.rng_seed,
-            "lag0_offdiag": self.lag0_offdiag,
-            "pure_noise": list(self.pure_noise),
-        }
-        for key, sup in (("support_ml", self.support_ml), ("support_l", self.support_l)):
-            d[key] = sup.tolist() if isinstance(sup, np.ndarray) else sup
-        d["sigma_l"] = None if self.sigma_l is None else list(self.sigma_l)
-        return d
+        if self.sigma_l is not None:
+            sigma = np.asarray(self.sigma_l, dtype=float)
+            if sigma.shape != (self.l,):
+                raise ValueError(f"sigma_l must have length {self.l}")
+            if not (np.isfinite(sigma) & (sigma > 0)).all():
+                raise ValueError(f"sigma_l entries must be positive and finite, got {self.sigma_l!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
@@ -399,8 +387,6 @@ class _CandidateStream:
         self.cells_l = _supported_cells(mask_l, lag_floor_l, config.degree_l)
 
         self.sigma = np.ones(l) if config.sigma_l is None else np.asarray(config.sigma_l, dtype=float)
-        if self.sigma.shape != (l,):
-            raise ValueError(f"sigma_l must have length {l}")
         # range() refuses a non-integer budget, as the draw loop always did
         self.budget = len(range(config.max_rejections + 1))
         self.draws = 0

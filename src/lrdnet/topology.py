@@ -6,14 +6,18 @@ the causal filter onto the full-rank block, a full-rank target uses the
 strict-past projection filter. Decisions are directional by construction and
 no symmetrization is ever applied.
 
-Every group test goes through one batched kernel that tests every (row,
-full-rank source) pair of any number of whole estimates:
-:func:`edge_test_table` sends it one (h_est, s_est), :func:`decide_graphs`
-many, as the Monte-Carlo loop of ``run-experiment`` does, and
-:func:`edge_test` one estimate, of which it returns one pair. Per pair its
-arithmetic is that of a batch of one, so batching changes no statistic,
-p-value or decision. The noiseless-row rule's levels, NORM_THRESHOLD and
-DETERMINISTIC_RESID_TOL, are module constants.
+Every group test goes through one batched kernel. It takes units, the
+estimates of one data set in row order: (h_est, s_est), or one estimate. It
+tests every (row, full-rank source) pair of each unit source-major over the
+unit's rows, so an (h_est, s_est) unit comes out in (source, target) order,
+the order of ``edge_tests.csv``, and no caller reorders it. Per (h_est,
+s_est), :func:`_pair_tests` gives the result columns: the ``estimate``
+subcommand and :func:`edge_test_table` ask for one, :func:`decide_graphs`
+for many, as the Monte-Carlo loop of ``run-experiment`` does.
+:func:`edge_test` sends one estimate and returns one of its pairs. Per pair
+the kernel's arithmetic is that of a batch of one, so batching changes no
+statistic, p-value or decision. The noiseless-row rule's levels,
+NORM_THRESHOLD and DETERMINISTIC_RESID_TOL, are module constants.
 """
 
 from __future__ import annotations
@@ -61,54 +65,62 @@ class EdgeTestResult:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _group_tests(ests, alphas):
-    """Group tests of every (row, source channel) pair of one or more
-    estimates in one batch, each estimate's pairs at its own level.
+def _group_tests(units, alphas):
+    """Group tests of every (row, source channel) pair of one or more units
+    in one batch, each unit's pairs at its own level.
 
-    An estimate's pairs are taken source-major: its k-th pair is row
-    k % num_rows and source channel k // num_rows. Estimates of one array
-    shape are stacked, each group size gets one condition number, solve and
-    quadratic form over the stack, and one F tail call covers every pair;
-    per pair the arithmetic is that of a batch of one.
+    A unit is the estimates of one data set in row order: (h_est, s_est),
+    or one estimate. Its pairs are taken source-major over all of its rows:
+    its k-th pair is row k % num_rows and source channel k // num_rows, so
+    for (h_est, s_est) they are in (source, target) order. Units of one
+    array shape are stacked, each group size gets one condition number,
+    solve and quadratic form over the stack, and one F tail call covers
+    every pair; per pair the arithmetic is that of a batch of one.
 
     Returns the EdgeTestResult fields of all pairs as arrays in field
-    order, the offsets ``starts`` (estimate e's pairs are
-    starts[e]:starts[e + 1]), and the exception of each pair that cannot be
+    order, the offsets ``starts`` (unit u's pairs are
+    starts[u]:starts[u + 1]), and the exception of each pair that cannot be
     tested, by pair index.
     """
-    counts = [est.num_rows * est.l for est in ests]
-    starts = np.cumsum([0, *counts])  # each estimate's first pair
-    row_starts = np.cumsum([0, *(est.num_rows for est in ests)])  # its first row
+    ests = [est for unit in units for est in unit]
+    num_rows = [sum(est.num_rows for est in unit) for unit in units]
+    counts = [rows * unit[0].l for rows, unit in zip(num_rows, units)]
+    starts = np.cumsum([0, *counts])  # each unit's first pair
+    row_starts = np.cumsum([0, *num_rows])  # its first row
     n = starts[-1]
     offsets = np.arange(n) - np.repeat(starts[:-1], counts)
-    chans, rows = np.divmod(offsets, np.repeat(np.diff(row_starts), counts))
-    alpha = np.repeat(alphas, counts)
-    full_rank = np.repeat([est.target_block == L_BLOCK for est in ests], counts)
-    T_eff = np.repeat([est.num_used_samples for est in ests], counts)
-    m = np.repeat([est.m for est in ests], counts)
+    chans, rows = np.divmod(offsets, np.repeat(num_rows, counts))
     batch_rows = np.repeat(row_starts[:-1], counts) + rows
+    alpha = np.repeat(alphas, counts)
+    m = np.repeat([unit[0].m for unit in units], counts)
+    sources = m + chans + 1
+    first_target = [unit[0].m if unit[0].target_block == L_BLOCK else 0 for unit in units]
+    targets = np.repeat(first_target, counts) + rows + 1
+    full_rank = targets > m
+    T_eff = np.repeat([est.num_used_samples for est in ests], [est.num_rows for est in ests])[batch_rows]
     k_row = np.concatenate([est.n_regressors for est in ests])[batch_rows]
     rss = np.concatenate([est.rss_full for est in ests])[batch_rows]
-    sources = m + chans + 1
-    targets = np.where(full_rank, m, 0) + rows + 1
     dof = T_eff - k_row
     insufficient = dof < 1
     noiseless = ~insufficient & ~full_rank & (np.sqrt(rss / T_eff) <= DETERMINISTIC_RESID_TOL)
     tested = ~insufficient & ~noiseless
-    first = (rows == chans) & full_rank  # own group starts at lag 1
+    first = targets == sources  # own group starts at lag 1
 
-    # estimates of one array shape are stacked source-major, so the rows of
-    # the stack are their pairs in batch order; pairs are then grouped by
-    # group size: indices, coefficients (one row per pair) and the
-    # Gram-inverse blocks of the tested ones among them
+    # each unit's coefficients (one row per pair) and Gram-inverse blocks
+    # come out source-major by joining its estimates' rows; units of one
+    # shape are stacked, so the rows of the stack are their pairs in batch
+    # order; pairs are then grouped by group size: indices, coefficients
+    # and the blocks of the tested ones among them
     shapes: dict[tuple, list] = {}
-    for e, est in enumerate(ests):
-        shapes.setdefault(est.coeffs.coeffs.shape, []).append(e)
+    for u, unit in enumerate(units):
+        coeffs = np.concatenate([est.coeffs.coeffs.T for est in unit], axis=1)
+        gram = np.concatenate([est.gram_blocks.swapaxes(0, 1) for est in unit], axis=1)
+        shapes.setdefault(coeffs.shape, []).append((u, coeffs, gram))
     groups: dict[int, tuple[list, list, list]] = {}
-    for (size, *_), members in shapes.items():
-        idx = np.concatenate([np.arange(starts[e], starts[e + 1]) for e in members])
-        coeffs = np.stack([ests[e].coeffs.coeffs.T for e in members]).reshape(idx.size, size)
-        gram = np.stack([ests[e].gram_blocks.swapaxes(0, 1) for e in members]).reshape(idx.size, size, size)
+    for (*_, size), members in shapes.items():
+        idx = np.concatenate([np.arange(starts[u], starts[u + 1]) for u, _, _ in members])
+        coeffs = np.stack([c for _, c, _ in members]).reshape(idx.size, size)
+        gram = np.stack([g for _, _, g in members]).reshape(idx.size, size, size)
         for lag0 in (0, 1):
             sel = first[idx] == lag0
             if not sel.any():
@@ -186,7 +198,7 @@ def edge_test(est: FilterEstimate, target: int, source: int, alpha: float) -> Ed
         if not m + 1 <= target <= m + l:
             raise ValueError(f"target {target} outside the full-rank block")
         row = target - m - 1
-    columns, _, failures = _group_tests([est], [alpha])
+    columns, _, failures = _group_tests([(est,)], [alpha])
     k = (source - m - 1) * est.num_rows + row
     if k in failures:
         raise failures[k]
@@ -202,7 +214,7 @@ def _pair_tests(pairs, alpha, correction):
     """
     if correction not in (NO_CORRECTION, BONFERRONI):
         raise ValueError(f"unknown correction {correction!r}")
-    ests, alphas = [], []
+    units, alphas = [], []
     for h_est, s_est in pairs:
         if s_est.target_block != L_BLOCK:
             raise ValueError("s_est must be the full-rank-block estimate")
@@ -215,30 +227,16 @@ def _pair_tests(pairs, alpha, correction):
             if (h_est.m, h_est.l) != (s_est.m, s_est.l):
                 raise ValueError("estimates disagree on the partition")
         m, l = s_est.m, s_est.l
-        alpha_eff = alpha / ((m + l) * l) if correction == BONFERRONI else alpha
-        for est in (h_est, s_est):
-            if est is not None:
-                ests.append(est)
-                alphas.append(alpha_eff)
+        units.append((s_est,) if h_est is None else (h_est, s_est))
+        alphas.append(alpha / ((m + l) * l) if correction == BONFERRONI else alpha)
 
-    if not ests:
+    if not units:
         return []
-    columns, starts, failures = _group_tests(ests, alphas)
-    # each (h_est, s_est) in (source, target) order: per source, h's rows
-    # 1..m, then s's rows m+1..m+l
-    spans, order = iter(zip(starts[:-1], starts[1:])), []
-    for h_est, s_est in pairs:
-        blocks = [np.arange(*next(spans)).reshape(s_est.l, -1) for est in (h_est, s_est) if est is not None]
-        order.append(np.concatenate(blocks, axis=1).ravel())
-    bounds = np.cumsum([0, *(o.size for o in order)])
-    order = np.concatenate(order)
-    columns = [c[order] for c in columns]
+    columns, starts, failures = _group_tests(units, alphas)
+    # failures are keyed in ascending pair order
     return [
-        (
-            [c[lo:hi] for c in columns],
-            next((failures[k] for k in order[lo:hi].tolist() if k in failures), None) if failures else None,
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+        ([c[lo:hi] for c in columns], next((exc for k, exc in failures.items() if lo <= k < hi), None))
+        for lo, hi in zip(starts[:-1], starts[1:])
     ]
 
 
@@ -512,15 +510,13 @@ def apply_partition(data, partition: Partition) -> TimeSeries:
     )
 
 
-def write_edge_tests_csv(results, path, comment: str | None = None) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_edge_tests_csv(columns, path, comment: str | None = None) -> None:
+    """One line per tested pair, in the order of the result columns that
+    :func:`_pair_tests` gives: (source, target)."""
+    with Path(path).open("w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "F", "p", "norm", "decision"])
-        for r in sorted(results, key=lambda r: (r.source, r.target)):
-            writer.writerow(
-                [r.source, r.target, repr(float(r.statistic)), repr(float(r.p_value)),
-                 repr(float(r.coeff_norm)), int(r.decision)]
-            )
+        for source, target, statistic, p_value, norm, decision in zip(*(c.tolist() for c in columns)):
+            writer.writerow([source, target, repr(statistic), repr(p_value), repr(norm), int(decision)])

@@ -8,6 +8,7 @@ runtime budget where one is stated.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import twelve_node_config
 from lrdnet.cli import default_experiment_config, run_experiment
@@ -244,6 +245,7 @@ def test_criterion_09_deterministic_relation_in_samples():
     )
 
 
+@pytest.mark.one_thread
 def test_criterion_10_partition_recovery():
     hits = 0
     trials = 40

@@ -117,8 +117,18 @@ class TestConfig:
             ({"outputs": 5}, "outputs"),
             ({"outputs": ["a"]}, "outputs"),
             ({"outputs": None}, "outputs"),
+            ({"generator": {"sigma_l": [0, 1, 1, 1]}}, "sigma_l"),
+            ({"generator": {"sigma_l": [1, -1, 1, 1]}}, "sigma_l"),
+            ({"generator": {"sigma_l": [1, 1, float("inf"), 1]}}, "sigma_l"),
+            ({"generator": {"sigma_l": [1, 1, 1, float("nan")]}}, "sigma_l"),
+            ({"generator": {"sigma_l": [1, 1]}}, "sigma_l must have length 4"),
+            ({"fixed_model": "false"}, "fixed_model"),
+            ({"fixed_model": 1}, "fixed_model"),
+            ({"generator": {"lag0_offdiag": "false"}}, "generator.lag0_offdiag"),
+            ({"generator": {"lag0_offdiag": None}}, "generator.lag0_offdiag"),
         ],
     )
+    @pytest.mark.one_thread
     def test_malformed_config_is_one_line_error(self, tmp_path, override, message):
         path = write_config(tmp_path, **override)
         proc = run_cli("run-experiment", "--trials", "2", "--config", path, "--out-dir", str(tmp_path / "o"))
@@ -133,6 +143,24 @@ class TestConfig:
         assert main(["run-experiment", "--trials", "1", "--out-dir", str(out)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith(f"config error: cannot create output directory {out}:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--data", "d.csv", "--seed", "1"],
+            ["decide", "--model", "m.json", "--seed", "1"],
+            ["compare", "--estimated", "e.json", "--truth", "t.json", "--seed", "1"],
+            ["simulate", "--model", "m.json", "--format", "json"],
+            ["compare", "--estimated", "e.json", "--truth", "t.json", "--format", "json"],
+            ["run-experiment", "--format", "json"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert line == f"config error: unrecognized arguments: {' '.join(argv[-2:])}"
+        assert not out.exists()
 
     def test_negative_seed_flag_is_config_error(self, tmp_path):
         assert main(["run-experiment", "--seed", "-1", "--out-dir", str(tmp_path / "o")]) == 1
@@ -227,6 +255,7 @@ class TestPipeline:
         cfg_path = write_config(tmp_path, generator={"m": 1, "l": 1, "support_ml": 5})
         assert main(["generate", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.one_thread
     def test_truncated_csv_is_clean_numerical_error(self, tmp_path):
         data = tmp_path / "tiny.csv"
         rows = ["t,y1,y2,y3"] + [f"{t},0.1,0.2,0.3" for t in range(1, 31)]
@@ -243,6 +272,7 @@ class TestPipeline:
             pytest.param("1" * 131073, "field larger than field limit", id="1x131073-field limit"),
         ],
     )
+    @pytest.mark.one_thread
     def test_malformed_csv_is_one_line_error(self, tmp_path, cell, bad):
         y = np.random.default_rng(3).standard_normal((2000, 4))
         rows = ["t,y1,y2,y3,y4"] + [f"{t + 1}," + ",".join(repr(float(v)) for v in y[t]) for t in range(2000)]
@@ -256,6 +286,7 @@ class TestPipeline:
         (line,) = proc.stderr.strip().splitlines()
         assert str(data) in line and "line 1202" in line and bad in line
 
+    @pytest.mark.one_thread
     def test_overflowing_csv_is_clean_numerical_error(self, tmp_path):
         # finite values whose products overflow must stop the fits with one
         # line, not reach LAPACK as inf and nan
@@ -282,6 +313,7 @@ class TestPipeline:
             ("estimate", "o", "", 1),  # a file where the output directory goes
         ],
     )
+    @pytest.mark.one_thread
     def test_malformed_input_file_is_one_line_error(self, tmp_path, command, name, content, code):
         write_data_csv(tmp_path / "data.csv", np.ones((3, 2)))
         (tmp_path / "truth.json").write_text(json.dumps({"graph": {"num_nodes": 3, "m": 1, "edges": []}}))
@@ -316,6 +348,7 @@ class TestPipeline:
     def test_unknown_argument_is_config_error(self, tmp_path):
         assert main(["generate", "--nonsense"]) == 1
 
+    @pytest.mark.one_thread
     def test_white_noise_csv_treats_all_channels_as_full_rank(self, tmp_path):
         rng = np.random.default_rng(8)
         y = rng.standard_normal((3000, 3))
@@ -376,6 +409,7 @@ def estimate_inputs(draw):
 
 
 class TestFuzz:
+    @pytest.mark.one_thread
     @settings(max_examples=60, deadline=None)
     @given(text=estimate_inputs())
     def test_estimate_on_generated_csv_ends_in_an_exit_code(self, text):
@@ -419,6 +453,7 @@ UNLABELED24 = {
 }
 
 
+@pytest.mark.one_thread
 class TestPinnedOutputs:
     # digests taken before both filters were read off one lagged design and
     # one SVD; only roundoff-robust outputs (decisions, partitions, counts)
@@ -519,6 +554,7 @@ class TestRunExperiment:
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.one_thread
     def test_default_config_result_digests_are_pinned(self, tmp_path):
         # performance work must leave the scientific output bit for bit
         # unchanged; a change that moves these digests has to say why
@@ -532,6 +568,7 @@ class TestRunExperiment:
         }
         assert digests == DEFAULT_CONFIG_DIGESTS
 
+    @pytest.mark.one_thread
     def test_fixed_model_result_digests_are_pinned(self, tmp_path):
         # the pin above covers fresh models only; this one covers one model
         # reused across trials (digests taken before the trial loop was staged)

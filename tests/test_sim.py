@@ -121,6 +121,7 @@ class TestCompanionRecursion:
         assert np.abs(ts.data - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.one_thread
 class TestSimulateAccepted:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -352,6 +353,7 @@ def csv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+@pytest.mark.one_thread
 class TestCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
         model = random_model(small_config(seed=10))

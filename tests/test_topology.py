@@ -1,6 +1,7 @@
 """Edge decisions, partition selection, and graph metrics."""
 
 import copy
+import csv
 import functools
 
 import numpy as np
@@ -207,6 +208,7 @@ def reference_table(h_est, s_est, alpha):
     ]
 
 
+@pytest.mark.one_thread
 class TestBatchedEdgeTable:
     def test_matches_per_pair_reference(self):
         cases = [(small_config(seed=seed), 1500, order) for seed in range(4) for order in (2, 3)]
@@ -327,6 +329,7 @@ def estimate_pool():
 pool_picks = st.lists(st.integers(0, 9), min_size=1, max_size=8)
 
 
+@pytest.mark.one_thread
 class TestBatchInvariance:
     """Many estimate pairs tested in one batch give, pair by pair, exactly
     what each pair gives alone."""
@@ -366,22 +369,41 @@ class TestBatchInvariance:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_kernel_columns_equal_a_batch_of_one(self, data):
-        # random subsets of whole estimates in random order, one level each
-        pool = [est for pair in estimate_pool() for est in pair if est is not None]
-        ests = [pool[k] for k in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
-        alphas = [data.draw(st.sampled_from([1e-3, 0.05, 0.5, 0.9])) for _ in ests]
-        columns, starts, failures = _group_tests(ests, alphas)
-        assert starts.tolist() == np.cumsum([0, *(est.num_rows * est.l for est in ests)]).tolist()
-        for est, alpha, start, stop in zip(ests, alphas, starts, starts[1:]):
-            alone, _, alone_failures = _group_tests([est], [alpha])
+        # random units in random order, one level each: a whole (h_est,
+        # s_est) of the pool (s_est alone without a deterministic block) or
+        # any one of its estimates
+        units = []
+        for h_est, s_est in estimate_pool():
+            units += [(s_est,)] if h_est is None else [(h_est, s_est), (h_est,), (s_est,)]
+        picked = [units[k] for k in data.draw(st.lists(st.integers(0, len(units) - 1), min_size=1, max_size=12))]
+        alphas = [data.draw(st.sampled_from([1e-3, 0.05, 0.5, 0.9])) for _ in picked]
+        columns, starts, failures = _group_tests(picked, alphas)
+        rows = [sum(est.num_rows for est in unit) for unit in picked]
+        assert starts.tolist() == np.cumsum([0, *(r * unit[0].l for r, unit in zip(rows, picked))]).tolist()
+        for unit, alpha, start, stop in zip(picked, alphas, starts, starts[1:]):
+            alone, _, alone_failures = _group_tests([unit], [alpha])
             for got, expected in zip(columns, alone):
                 assert np.array_equal(got[start:stop], expected)
-            # source-major: pair k is row k % num_rows, source channel k // num_rows
-            assert np.array_equal(alone[0], est.m + 1 + np.arange(est.num_rows * est.l) // est.num_rows)
             failed = {k - start: exc for k, exc in failures.items() if start <= k < stop}
             assert failed.keys() == alone_failures.keys()
             for k, exc in failed.items():
                 assert (type(exc), str(exc)) == (type(alone_failures[k]), str(alone_failures[k]))
+            # source-major over the unit's rows: sources non-decreasing,
+            # targets ascending within each source
+            sources, targets = alone[0], alone[1]
+            m, l = unit[0].m, unit[0].l
+            assert np.array_equal(sources, m + 1 + np.repeat(np.arange(l), sources.size // l))
+            assert np.array_equal(targets.reshape(l, -1), np.tile(targets[: sources.size // l], (l, 1)))
+            assert np.all(np.diff(targets.reshape(l, -1), axis=1) == 1)
+            assert targets[0] == (1 if unit[0].target_block == M_BLOCK else m + 1)
+            if len(unit) == 2:
+                # h's rows then s's rows of each source: the estimates' own
+                # columns interleaved
+                h_alone, _, _ = _group_tests([unit[:1]], [alpha])
+                s_alone, _, _ = _group_tests([unit[1:]], [alpha])
+                for got, h_col, s_col in zip(alone, h_alone, s_alone):
+                    expected = np.concatenate([h_col.reshape(l, -1), s_col.reshape(l, -1)], axis=1).ravel()
+                    assert np.array_equal(got, expected)
 
     def test_empty_batch(self):
         assert decide_graphs([]) == []
@@ -437,18 +459,26 @@ class TestDecideGraph:
         assert (2, 3) in decided.edges
         assert (3, 2) not in decided.edges
 
+    @pytest.mark.one_thread
     def test_table_covers_all_pairs_and_csv_round_trips(self, tmp_path):
         model = random_model(small_config(seed=3))
         ts = simulate(model, num_samples=1500, seed=80)
         h_est, s_est = fit_both(ts, order=2)
         table = edge_test_table(h_est, s_est, alpha=0.05)
         assert len(table) == (model.m + model.l) * model.l
+        ((columns, error),) = _pair_tests([(h_est, s_est)], 0.05, "none")
+        assert error is None
         path = tmp_path / "edges.csv"
-        write_edge_tests_csv(table, path, comment="seed=80")
+        write_edge_tests_csv(columns, path, comment="seed=80")
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed=80"
         assert lines[1] == "source,target,F,p,norm,decision"
         assert len(lines) == 2 + len(table)
+        rows = [
+            EdgeTestResult(int(source), int(target), float(f), float(p), float(norm), decision == "1")
+            for source, target, f, p, norm, decision in csv.reader(lines[2:])
+        ]
+        assert rows == table
 
     def test_monotone_exact_match_in_sample_size(self):
         rates = []
@@ -590,6 +620,7 @@ def rest_rms(y, part, max_lag):
     return np.sqrt(np.mean((targets - X @ beta) ** 2))
 
 
+@pytest.mark.one_thread
 class TestPartitionSelect:
     def test_all_channels_full_rank(self):
         # three coupled full-rank channels, nothing deterministic
