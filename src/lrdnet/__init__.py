@@ -26,14 +26,7 @@ from .model import (
     true_graph,
     validate,
 )
-from .polymat import (
-    PolynomialMatrix,
-    SelectorVector,
-    selector_matrix,
-    selector_shift,
-    truncated_inverse,
-    vstack,
-)
+from .polymat import PolynomialMatrix, selector_shift, truncated_inverse, vstack
 from .sim import TimeSeries, read_csv, simulate, simulate_from_factor, write_csv
 from .spectral import (
     SpectralGrid,

@@ -62,7 +62,7 @@ def default_experiment_config() -> dict:
             "support_l": 7,
             "coeff_min": 0.5,
             "coeff_max": 0.9,
-            "max_rejections": 500,
+            "max_rejections": 5000,
             "rng_seed": 0,
             "lag0_offdiag": False,
             "pure_noise": [4],
@@ -349,6 +349,11 @@ METRIC_FIELDS = ("exact_match", "precision", "recall", "true_positives", "false_
 RUN_STAGES = ("generate", "simulate", "fit", "decide", "score")
 
 
+def _live(outcome: dict) -> list:
+    """Trials whose outcome is a stage result, not the exception that ended them."""
+    return [trial for trial, result in outcome.items() if not isinstance(result, Exception)]
+
+
 def run_experiment(cfg: dict, out_dir: Path) -> dict:
     """Monte-Carlo loop behind the run-experiment subcommand.
 
@@ -357,7 +362,9 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     draw every trial's model from its own seed in one lock-step call,
     simulate all accepted models in one lock-step call, fit each trial's two
     filters, decide every fitted trial's edges in one batched call, and score
-    each decided graph. A trial that fails a stage, including a numpy
+    each decided graph. One outcome map holds each trial's latest stage
+    result, or the exception that ended the trial, and each stage runs on
+    the trials still live. A trial that fails a stage, including a numpy
     failure in its fit, gets an error row and the run continues.
     """
     chash = config_hash(cfg)
@@ -373,55 +380,52 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     try:
         gcfg = GeneratorConfig.from_dict({**cfg["generator"], "rng_seed": derive_seed(master, 0, 0)})
         if cfg.get("fixed_model"):
-            drawn = dict.fromkeys(trials, random_models([gcfg], draws=draws)[0])
+            models = random_models([gcfg], draws=draws) * len(trials)
         else:
-            configs = [replace(gcfg, rng_seed=derive_seed(master, trial, 0)) for trial in trials]
-            drawn = dict(zip(trials, random_models(configs, draws=draws)))
+            models = random_models([replace(gcfg, rng_seed=derive_seed(master, trial, 0)) for trial in trials], draws=draws)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"generator config rejected: {exc}") from exc
-    models = {trial: result for trial, result in drawn.items() if isinstance(result, LrdnModel)}
-    errors = {trial: result for trial, result in drawn.items() if trial not in models}
+    outcome = dict(zip(trials, models))
     clock.append(time.perf_counter())
 
-    seeds = {trial: derive_seed(master, trial, 1) for trial in trials}
+    seeds = [derive_seed(master, trial, 1) for trial in trials]
+    live = _live(outcome)
     series = simulate_accepted(
-        list(models.values()),
+        [outcome[trial] for trial in live],
         num_samples=cfg["sim"]["num_samples"],
         burn_in=cfg["sim"]["burn_in"],
-        seeds=[seeds[trial] for trial in models],
+        seeds=[seeds[trial] for trial in live],
     )
+    outcome.update(zip(live, series))
     clock.append(time.perf_counter())
 
-    fits = {}
-    for trial, ts in zip(models, series):
+    for trial in _live(outcome):
         try:
-            fits[trial] = estimate_filters(ts, order=p, ridge=ridge)
+            outcome[trial] = estimate_filters(outcome[trial], order=p, ridge=ridge)
         except (LrdnError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            errors[trial] = exc
+            outcome[trial] = exc
     clock.append(time.perf_counter())
 
-    decided = dict(zip(fits, decide_graphs(list(fits.values()), alpha=alpha, correction=correction)))
+    live = _live(outcome)
+    outcome.update(zip(live, decide_graphs([outcome[trial] for trial in live], alpha=alpha, correction=correction)))
     clock.append(time.perf_counter())
 
     rows = []
-    for trial, graph in decided.items():
-        if isinstance(graph, LrdnError):
-            errors[trial] = graph
-            continue
-        metrics = compare_graphs(graph, true_graph(models[trial], zero_tol=cfg["decision"]["zero_tol"]))
-        scores = {field: getattr(metrics, field) for field in METRIC_FIELDS}
-        rows.append({"trial": trial, "seed": seeds[trial], **scores, "exact_match": int(metrics.exact_match), "error": ""})
-    for trial, exc in errors.items():
-        failed = dict.fromkeys(METRIC_FIELDS, "")
-        rows.append({"trial": trial, "seed": seeds[trial], **failed, "error": f"{type(exc).__name__}: {exc}"})
+    for trial, result in outcome.items():
+        if isinstance(result, Exception):
+            scores = {**dict.fromkeys(METRIC_FIELDS, ""), "error": f"{type(result).__name__}: {result}"}
+        else:
+            metrics = compare_graphs(result, true_graph(models[trial], zero_tol=cfg["decision"]["zero_tol"]))
+            scores = {field: getattr(metrics, field) for field in METRIC_FIELDS}
+            scores.update(exact_match=int(metrics.exact_match), error="")
+        rows.append({"trial": trial, "seed": seeds[trial], **scores})
     clock.append(time.perf_counter())
 
     with (out_dir / "trials.csv").open("w", newline="") as fh:
         fh.write(f"# config_hash={chash} master_seed={master}\n")
         writer = csv.DictWriter(fh, fieldnames=["trial", "seed", *METRIC_FIELDS, "error"])
         writer.writeheader()
-        for row in sorted(rows, key=lambda r: r["trial"]):
-            writer.writerow(row)
+        writer.writerows(rows)
 
     completed = [r for r in rows if not r["error"]]
     aggregate = {
@@ -532,7 +536,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (LrdnError, np.linalg.LinAlgError, FloatingPointError) as exc:

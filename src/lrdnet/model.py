@@ -127,20 +127,13 @@ def _check_table(g_ls, sigmas, horizon, decay_tol, cond_bound) -> tuple[np.ndarr
     lead and decay tail comes from one :func:`polymat.stability_certificates`
     call, so a model's row does not depend on the other models.
     """
-    diag0 = np.empty(len(g_ls))
-    min_sigma = np.empty(len(g_ls))
-    filters = [None] * len(g_ls)
-    by_shape: dict[tuple, list[int]] = {}
-    for i, g in enumerate(g_ls):
-        by_shape.setdefault(g.shape, []).append(i)
-    for shape, members in by_shape.items():
-        g = np.stack([g_ls[i] for i in members])
-        ident = np.zeros(shape)
-        ident[0] = np.eye(shape[1])
-        diag0[members] = np.abs(np.diagonal(g[:, 0], axis1=1, axis2=2)).max(axis=1)
-        min_sigma[members] = np.stack([sigmas[i] for i in members]).min(axis=1)
-        for i, a in zip(members, ident - g):
-            filters[i] = a
+    diag0 = np.array([np.abs(g[0].diagonal()).max() for g in g_ls])
+    min_sigma = np.array([sigma.min() for sigma in sigmas])
+    filters = []
+    for g in g_ls:
+        ident = np.zeros(g.shape)
+        ident[0] = np.eye(g.shape[1])
+        filters.append(ident - g)
     conds, tails = stability_certificates(filters, horizon, cond_bound)
     values = np.stack([diag0, conds, tails, min_sigma], axis=1)
     passed = np.stack(
@@ -233,9 +226,9 @@ class DirectedGraph:
             edges=frozenset((int(i), int(j)) for i, j in d["edges"]),
         )
 
-    def to_dot(self, name: str = "lrdn") -> str:
+    def to_dot(self) -> str:
         """GraphViz export; nodes of the full-rank block get a darker fill."""
-        lines = [f"digraph {name} {{", "  node [shape=circle style=filled fillcolor=lightblue];"]
+        lines = ["digraph lrdn {", "  node [shape=circle style=filled fillcolor=lightblue];"]
         for v in range(self.m + 1, self.num_nodes + 1):
             lines.append(f"  n{v} [fillcolor=steelblue];")
         for i, j in self.sorted_edges():
@@ -466,13 +459,9 @@ class ReducedForm:
     full_transfer: PolynomialMatrix
 
 
-def reduced_form(
-    model: LrdnModel,
-    horizon: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-) -> ReducedForm:
-    require_valid(model, horizon=horizon, decay_tol=decay_tol)
+def reduced_form(model: LrdnModel, horizon: int = DEFAULT_HORIZON) -> ReducedForm:
+    require_valid(model, horizon=horizon)
     i_minus_gl = PolynomialMatrix.identity(model.l) - model.g_l
-    w = truncated_inverse(i_minus_gl, horizon=horizon, decay_tol=decay_tol)
+    w = truncated_inverse(i_minus_gl, horizon=horizon)
     top = model.g_ml @ w
     return ReducedForm(w_factor=w, full_transfer=vstack(top, w))

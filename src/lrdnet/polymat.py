@@ -11,8 +11,6 @@ filters' leads and decay in one stacked pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoDecay, SingularLeadingCoefficient
@@ -200,28 +198,6 @@ class PolynomialMatrix:
         return cls(arr)
 
 
-@dataclass(frozen=True)
-class SelectorVector:
-    """Elementary column vector with a 1 at ``index`` (1-based) in R^length."""
-
-    index: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.index <= self.length:
-            raise ValueError(f"index {self.index} out of range [1, {self.length}]")
-
-    def column(self) -> np.ndarray:
-        v = np.zeros(self.length)
-        v[self.index - 1] = 1.0
-        return v
-
-
-def selector_matrix(indices, length: int) -> np.ndarray:
-    """Stack selector rows for an ordered index set (1-based)."""
-    return np.stack([SelectorVector(i, length).column() for i in indices])
-
-
 def selector_shift(i: int, l: int) -> PolynomialMatrix:
     """Diagonal filter that delays channel ``i`` (1-based) by one step.
 
@@ -322,7 +298,8 @@ def stability_certificates(
     ``filters`` are (degree+1, n, n) coefficient arrays; trailing exactly-zero
     coefficients are dropped, as :meth:`PolynomialMatrix.normalized` does.
     Returns two arrays: cond(A_0), and ||Q_horizon||_F, the last coefficient
-    of the causal inverse (see :func:`inverse_tail_norm`). The tail is inf
+    of the causal inverse (the decay certificate of :func:`truncated_inverse`),
+    computed by repeated squaring of the :func:`companion` matrix. The tail is inf
     where the condition number is not finite or exceeds ``cond_bound``; such
     a lead is not inverted. It is 0.0 for a degree-0 filter that passes.
 
@@ -359,19 +336,6 @@ def stability_certificates(
                 q = np.linalg.matrix_power(c, horizon)[:, :n, :n] @ a0_inv
                 tails[passing] = [np.linalg.norm(qi) for qi in q]
     return conds, tails
-
-
-def inverse_tail_norm(a: PolynomialMatrix, horizon: int = DEFAULT_HORIZON) -> float:
-    """Frobenius norm of the causal-inverse coefficient Q_horizon of ``a``.
-
-    This is the decay certificate of :func:`truncated_inverse`, computed as
-    ||(C^horizon)[:n, :n] A_0^-1||_F by repeated squaring of the
-    :func:`companion` matrix (about log2(horizon) products instead of
-    ``horizon`` recursion steps). A divergent filter yields a non-finite
-    value without floating-point warnings. It is
-    :func:`stability_certificates` of one filter with no conditioning bound.
-    """
-    return float(stability_certificates([a.coeffs], horizon, cond_bound=np.inf)[1][0])
 
 
 def vstack(top: PolynomialMatrix, bottom: PolynomialMatrix) -> PolynomialMatrix:

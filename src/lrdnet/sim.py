@@ -301,11 +301,3 @@ def read_csv(path) -> tuple[np.ndarray, dict | None]:
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {sidecar} must hold a JSON object")
     return data, meta
-
-
-def timeseries_from_csv(path) -> TimeSeries:
-    """Rebuild a TimeSeries from a CSV that has a partition-bearing sidecar."""
-    data, meta = read_csv(path)
-    if meta is None or "m" not in meta or "l" not in meta:
-        raise InsufficientData(f"{path} has no sidecar with partition info")
-    return TimeSeries(data=data, m=int(meta["m"]), l=int(meta["l"]), seed=int(meta.get("seed", 0)))

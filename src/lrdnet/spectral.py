@@ -64,16 +64,6 @@ class SpectralGrid:
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.values, compute_uv=False)
 
-    def to_json_obj(self) -> list:
-        return [
-            {
-                "theta": float(t),
-                "re": v.real.tolist(),
-                "im": v.imag.tolist(),
-            }
-            for t, v in zip(self.thetas, self.values)
-        ]
-
 
 def spectrum_of_model(
     model: LrdnModel,
@@ -114,7 +104,6 @@ def spectral_factor_of_model(
 def h_closed_form(
     model: LrdnModel,
     num_points: int = DEFAULT_GRID_POINTS,
-    horizon: int = DEFAULT_HORIZON,
     cond_bound: float = DEFAULT_COND_BOUND,
 ) -> np.ndarray:
     """Deterministic-relation filter from the spectrum: Phi_lm^H Phi_l^-1.
@@ -123,7 +112,7 @@ def h_closed_form(
     numerical error, which is the projection identity the estimators rely on.
     Returns an (N, m, l) complex array over uniform_thetas(num_points).
     """
-    grid = spectrum_of_model(model, num_points, horizon)
+    grid = spectrum_of_model(model, num_points)
     m = model.m
     phi_lm = grid.values[:, m:, :m]
     phi_l = grid.values[:, m:, m:]
@@ -138,11 +127,7 @@ def h_closed_form(
     ).transpose(0, 2, 1)
 
 
-def inverse_support_fullrank(
-    grid: SpectralGrid,
-    zero_tol: float,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> np.ndarray:
+def inverse_support_fullrank(grid: SpectralGrid, zero_tol: float) -> np.ndarray:
     """Conditional-independence support of a full-rank block.
 
     Entry (k, h) is True iff max over the grid of |[Phi^-1]_kh| exceeds
@@ -152,9 +137,9 @@ def inverse_support_fullrank(
     """
     conds = np.linalg.cond(grid.values)
     worst = float(conds.max())
-    if not np.isfinite(worst) or worst > cond_bound:
+    if not np.isfinite(worst) or worst > DEFAULT_COND_BOUND:
         raise SingularBlock(
-            f"grid condition number {worst:.3e} exceeds {cond_bound:.1e}; inverse support undefined"
+            f"grid condition number {worst:.3e} exceeds {DEFAULT_COND_BOUND:.1e}; inverse support undefined"
         )
     inv = np.linalg.inv(grid.values)
     return np.abs(inv).max(axis=0) > zero_tol

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from .errors import AmbiguousRank, DegenerateRestriction, InsufficientData, LrdnError
 from .model import DirectedGraph, LrdnModel, graph_from_supports, reduced_form
@@ -153,7 +153,9 @@ def _group_tests(units, alphas):
     statistic = np.zeros(n)
     p_value = np.ones(n)
     statistic[good] = (rss_increase[good] / group_size[good]) / (rss[good] / dof[good])
-    p_value[good] = stats.f.sf(statistic[good], group_size[good], dof[good])
+    # the F(group_size, dof) upper tail; a statistic <= 0 (a roundoff-negative
+    # quadratic form) has tail 1, as scipy.stats.f.sf gives, where fdtrc is nan
+    p_value[good] = fdtrc(group_size[good], dof[good], np.maximum(statistic[good], 0.0))
     # on a noiseless deterministic row the F law is meaningless: decide by
     # the group coefficient norm and report the degenerate (inf, 0) or (0, 1)
     decision = np.where(noiseless, coeff_norm > NORM_THRESHOLD, p_value < alpha)

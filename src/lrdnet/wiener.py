@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidModel, RankDeficientDesign
 from .model import LrdnModel, require_valid
-from .polymat import (
-    DEFAULT_COND_BOUND,
-    DEFAULT_DECAY_TOL,
-    DEFAULT_HORIZON,
-    PolynomialMatrix,
-    truncated_inverse,
-)
+from .polymat import DEFAULT_COND_BOUND, DEFAULT_HORIZON, PolynomialMatrix, truncated_inverse
 from .sim import TimeSeries
 
 M_BLOCK = "m_block"
@@ -75,12 +69,7 @@ def exact_filters(model: LrdnModel) -> ExactFilters:
     return ExactFilters(s=s.normalized(), h=model.g_ml, d=d)
 
 
-def exact_s_via_factor(
-    w: PolynomialMatrix,
-    horizon: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> PolynomialMatrix:
+def exact_s_via_factor(w: PolynomialMatrix, horizon: int = DEFAULT_HORIZON) -> PolynomialMatrix:
     """Filter of the full-rank block computed from a causal spectral factor.
 
     s = I - diag([W_0]_11 .. [W_0]_ll) W^-1 with the inverse truncated at the
@@ -90,7 +79,7 @@ def exact_s_via_factor(
     """
     if w.rows != w.cols:
         raise ValueError(f"factor must be square, got {w.shape}")
-    w_inv = truncated_inverse(w, horizon=horizon, decay_tol=decay_tol, cond_bound=cond_bound)
+    w_inv = truncated_inverse(w, horizon=horizon)
     d = np.diag(np.diag(w.coeff(0)))
     return PolynomialMatrix.identity(w.rows) - (PolynomialMatrix.constant(d) @ w_inv)
 

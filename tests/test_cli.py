@@ -126,6 +126,10 @@ class TestConfig:
             ({"fixed_model": 1}, "fixed_model"),
             ({"generator": {"lag0_offdiag": "false"}}, "generator.lag0_offdiag"),
             ({"generator": {"lag0_offdiag": None}}, "generator.lag0_offdiag"),
+            # sizes numpy refuses at once (PiB); a size in the GB range may be
+            # allocated lazily and then fill memory, so none is tested
+            ({"sim": {"num_samples": 10**15}}, "Unable to allocate"),
+            ({"generator": {"degree_l": 10**14}}, "Unable to allocate"),
         ],
     )
     @pytest.mark.one_thread
@@ -345,6 +349,15 @@ class TestPipeline:
             "numerical failure: InsufficientData: 2000 samples cannot support order 700 with 1402 regressors\n"
         )
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the F tail comes from scipy.special, so no process pays for
+        # importing scipy.stats
+        src = str(Path(lrdnet.__file__).resolve().parents[1])
+        code = "import sys, lrdnet, lrdnet.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_unknown_argument_is_config_error(self, tmp_path):
         assert main(["generate", "--nonsense"]) == 1
 
@@ -485,9 +498,9 @@ class TestPinnedOutputs:
         out = tmp_path / "o"
         assert read_json(out / "partition.json")["partition"]["l_indices"] == [9, 17, 19, 20, 21, 22, 23, 24]
         assert {name: sha256(out / name) for name in ("decided_graph.json", "decided_graph.dot", "decided_graph.csv")} == {
-            "decided_graph.json": "e7279268a6760fd5868efef9c194777a6128074711362d5c18facd0a25b63cc4",
-            "decided_graph.dot": "5112eda926e5ee29fd2570f3ca10c5f5cf4c96b0a8c82f79558237c93b2a371f",
-            "decided_graph.csv": "ec1c1e156e7fa83c5a35ea829b23c614a2ce726149a662ee7c1192c01a6edd2f",
+            "decided_graph.json": "a1aa0b0cf3d200099cb757d3d0343e5971fc605f432231cdd38ec15d34407bed",
+            "decided_graph.dot": "e7dec0fb0e50bf8f08596d278c2ff8d65824fedc5302ed66ff8e59caa9de69e5",
+            "decided_graph.csv": "9f44ce49f3c1f81469fc4bf2fc664032eda2a8195f7fbcffbd892bac4f7626cf",
         }
 
     def test_blind_estimate_refusal_is_pinned(self, tmp_path, capsys):
@@ -509,13 +522,19 @@ class TestPinnedOutputs:
         out = tmp_path / "o"
         assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(out)]) == 0
         assert {name: sha256(out / name) for name in ("aggregate.json", "trials.csv")} == {
-            "aggregate.json": "9cb8bbbb8757840f74b5cab1c5a13cdc926078f5a1398f458d627e23553648d9",
-            "trials.csv": "b6f94ebc2d5359a6b507b3d4ef14a0e90927373f4b53162b13fd7dce7ab17ea7",
+            "aggregate.json": "aa95d9573a51070ea7b7ce1034625a5107bb8153399c91da9f3a30a00e2851ea",
+            "trials.csv": "6abedb1548a3fcc48cd9b8397d467d34d755e89402aa700a848684ae93205b37",
         }
 
 
 # result digests of run-experiment with the default config and --seed 1
 DEFAULT_CONFIG_DIGESTS = {
+    "aggregate.json": "633aa7836747496fbffe2a9f6198af09f0eb458842111cb423c49459a00762e2",
+    "trials.csv": "e0a4661fb171e8efdb9a57afd023362ba7a9c5a1ac0b61f1548462d877cc1204",
+}
+# the same with the former default draw budget, max_rejections 500, set in
+# the config: the digests pinned while it was the default
+BUDGET_500_DIGESTS = {
     "aggregate.json": "319e89b21fd036d9f55c3dffaf45858f5af5de1829a5b2f983ac9b6ac19d15c7",
     "trials.csv": "b425d0f6039efdf0626d4bdceb304b243bf9458449e6b3db18bc4de5b6f446b3",
 }
@@ -569,6 +588,14 @@ class TestRunExperiment:
         assert digests == DEFAULT_CONFIG_DIGESTS
 
     @pytest.mark.one_thread
+    def test_former_default_budget_keeps_its_digests(self, tmp_path):
+        # raising the default budget changes config_hash and nothing else
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, generator={"max_rejections": 500})
+        assert main(["run-experiment", "--config", cfg_path, "--seed", "1", "--out-dir", str(out)]) == 0
+        assert {name: sha256(out / name) for name in BUDGET_500_DIGESTS} == BUDGET_500_DIGESTS
+
+    @pytest.mark.one_thread
     def test_fixed_model_result_digests_are_pinned(self, tmp_path):
         # the pin above covers fresh models only; this one covers one model
         # reused across trials (digests taken before the trial loop was staged)
@@ -582,8 +609,8 @@ class TestRunExperiment:
             for name in ("aggregate.json", "trials.csv")
         }
         assert digests == {
-            "aggregate.json": "ff02472bc78d9724ae5798865242521c5e1bc3a316fbdf003892bdc04ed16fcf",
-            "trials.csv": "a8536e0e76afd2d004406e0c387fa711d79dcf629e2b646f62f25f15d5534575",
+            "aggregate.json": "1cfbcda8f3c4c68ac156644e233265c35c215324372f888cd15f829a139f14e2",
+            "trials.csv": "4e674740ec51e5b57d2a218148f3e9d00bcc7792ad958d3a4f99c17fee5877fe",
         }
 
     def test_rows_match_trial_by_trial_reference(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config, twelve_node_config
-from lrdnet.cli import default_experiment_config
+from lrdnet.cli import default_experiment_config, derive_seed
 from lrdnet.errors import GenerationFailed, InvalidModel
 from lrdnet.model import (
     DirectedGraph,
@@ -25,7 +25,6 @@ from lrdnet.polymat import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
     PolynomialMatrix,
-    inverse_tail_norm,
     stability_certificates,
     truncated_inverse,
 )
@@ -424,6 +423,7 @@ def assert_same_slot(got, expected):
 
 
 MC12 = default_experiment_config()["generator"]
+WIDE72 = {**MC12, "m": 48, "l": 24, "support_ml": 108, "support_l": 36}
 
 
 @st.composite
@@ -494,15 +494,21 @@ class TestLockstepGeneration:
             random_model(failing)
 
     def test_wide72_seed_exhausts_its_501_draws(self):
-        cfg = GeneratorConfig.from_dict(
-            {**MC12, "m": 48, "l": 24, "support_ml": 108, "support_l": 36, "rng_seed": 13620220313934906236}
-        )
+        cfg = GeneratorConfig.from_dict({**WIDE72, "max_rejections": 500, "rng_seed": 13620220313934906236})
         draws = []
         (slot,) = random_models([cfg], draws=draws)
         assert isinstance(slot, GenerationFailed)
         assert str(slot).startswith("no stable model found in 501 draws;")
         assert draws == [501]
         assert_same_slot(slot, reference_draw(cfg)[0])
+
+    def test_default_budget_serves_a_wide72_seed_past_501_draws(self):
+        # the fixed model of wide72 benchmark ops with master seed 1575808052
+        cfg = GeneratorConfig.from_dict({**WIDE72, "rng_seed": derive_seed(1575808052, 0, 0)})
+        draws = []
+        (slot,) = random_models([cfg], draws=draws)
+        assert isinstance(slot, LrdnModel)
+        assert draws == [652]
 
     def test_unservable_config_raises_for_the_whole_call(self):
         with pytest.raises(ValueError, match="requested 20 edges but only 9 admissible cells"):
@@ -559,4 +565,3 @@ class TestLockstepGeneration:
         assert 0 < tails[4] < DEFAULT_DECAY_TOL
         for a, cond, tail in zip(filters, conds, tails):
             np.testing.assert_array_equal([cond, tail], reference_certificate(a, 1000))
-        assert inverse_tail_norm(PolynomialMatrix(stable), horizon=1000) == tails[2]

@@ -6,8 +6,6 @@ import pytest
 from lrdnet.errors import NoDecay, SingularLeadingCoefficient
 from lrdnet.polymat import (
     PolynomialMatrix,
-    SelectorVector,
-    selector_matrix,
     selector_shift,
     truncated_inverse,
     vstack,
@@ -220,17 +218,6 @@ class TestSelectorShift:
             selector_shift(0, 3)
         with pytest.raises(ValueError):
             selector_shift(4, 3)
-
-
-class TestSelectors:
-    def test_selector_vector(self):
-        assert np.array_equal(SelectorVector(2, 4).column(), [0, 1, 0, 0])
-        with pytest.raises(ValueError):
-            SelectorVector(5, 4)
-
-    def test_selector_matrix_stacks_rows(self):
-        b = selector_matrix([1, 3], 3)
-        assert np.array_equal(b, [[1, 0, 0], [0, 0, 1]])
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from lrdnet.sim import (
     simulate,
     simulate_accepted,
     simulate_from_factor,
-    timeseries_from_csv,
     write_csv,
 )
 from test_model import ar1_model
@@ -365,9 +364,6 @@ class TestCsv:
         assert meta["m"] == model.m and meta["l"] == model.l
         assert meta["burn_in"] == 50
         assert meta["rng"] == "numpy-default-pcg64"
-        back = timeseries_from_csv(path)
-        assert np.array_equal(back.data, ts.data)
-        assert back.seed == 21
 
     def test_header_text(self, tmp_path):
         ts = TimeSeries(data=np.zeros((2, 3)), m=1, l=2)

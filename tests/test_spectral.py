@@ -51,13 +51,6 @@ class TestSpectralGrid:
         with pytest.raises(ValueError):
             SpectralGrid(thetas, vals)
 
-    def test_json_export_shape(self):
-        thetas = uniform_thetas(4)
-        grid = SpectralGrid(thetas, np.tile(np.eye(2, dtype=complex), (4, 1, 1)))
-        obj = grid.to_json_obj()
-        assert len(obj) == 4
-        assert set(obj[0]) == {"theta", "re", "im"}
-
 
 class TestSpectrumOfModel:
     def test_white_noise_block_gives_identity(self):

@@ -145,6 +145,23 @@ class TestEdgeTest:
         with pytest.raises(DegenerateRestriction):
             edge_test(s_est, target=model.m + 1, source=model.m + 2, alpha=0.01)
 
+    def test_negative_statistic_has_tail_one(self):
+        # a Gram-inverse block of -I makes the quadratic form negative; the
+        # F tail of a negative statistic is 1, as scipy.stats.f.sf gives it
+        from scipy import stats as sps
+
+        model = random_model(small_config(seed=2))
+        ts = simulate(model, num_samples=1000, seed=34)
+        s_est = estimate_s(ts, order=2)
+        s_est.gram_blocks[0, 1] = -np.eye(3)
+        target, source = model.m + 1, model.m + 2
+        res = edge_test(s_est, target=target, source=source, alpha=0.01)
+        assert res.statistic < 0
+        dof = s_est.num_used_samples - int(s_est.n_regressors[0])
+        assert res.p_value == float(sps.f.sf(res.statistic, 3, dof)) == 1.0
+        assert not res.decision
+        assert_matches_reference(res, reference_edge_test(s_est, target, source, 0.01))
+
     def test_node_range_validation(self):
         model = random_model(small_config(seed=2))
         ts = simulate(model, num_samples=1000, seed=35)
